@@ -24,9 +24,14 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator, Optional, Sequence
 
-from .errors import CapExceededError, DomainError
+from .errors import CapExceededError, DomainError, ParseError
 from .graphs import SimpleGraph, canonical_form, is_connected
-from .sequences import DegreeSequence, is_connected_realizable, is_graphic
+from .sequences import (
+    DegreeSequence,
+    _erdos_gallai,
+    is_connected_realizable,
+    is_graphic,
+)
 
 DEFAULT_CAP = 10
 CAP_ENV_VAR = "ZAGREBMAX_ORACLE_CAP"
@@ -39,7 +44,7 @@ def default_cap() -> int:
     try:
         return int(raw)
     except ValueError:
-        return DEFAULT_CAP
+        raise ParseError(f"{CAP_ENV_VAR}={raw!r} is not an integer") from None
 
 
 @dataclass(frozen=True)
@@ -67,20 +72,6 @@ class NeighborTransfer:
     u: int
     v: int
     moved: tuple[int, ...]
-
-
-def _eg_ok(desc: list[int]) -> bool:
-    """Erdos-Gallai on a non-increasing list of non-negative residuals."""
-    n = len(desc)
-    lhs = 0
-    for k in range(1, n + 1):
-        lhs += desc[k - 1]
-        rhs = k * (k - 1)
-        for x in desc[k:]:
-            rhs += x if x < k else k
-        if lhs > rhs:
-            return False
-    return True
 
 
 def _iter_edges(
@@ -132,7 +123,7 @@ def _iter_edges(
             for j in combo:
                 res[j] -= 1
             tail = sorted(res[i + 1 :], reverse=True)
-            good = _eg_ok(tail)
+            good = _erdos_gallai(tail)
             if good:
                 for j in combo:
                     adj[i] |= 1 << j

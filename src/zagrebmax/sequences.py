@@ -12,6 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import DomainError, ParseError
@@ -58,6 +59,11 @@ class DegreeSequence:
     @property
     def total(self) -> int:
         return sum(self.degrees)
+
+    @cached_property
+    def _graphic(self) -> bool:
+        """Erdos-Gallai verdict, computed on first use and kept on the object."""
+        return _erdos_gallai(self.degrees)
 
     @classmethod
     def parse(cls, text: str) -> "DegreeSequence":
@@ -137,27 +143,50 @@ def _as_desc_list(seq: Degreeish) -> list[int]:
     return sorted((int(d) for d in seq), reverse=True)
 
 
+def _erdos_gallai(d: Sequence[int]) -> bool:
+    """Erdos-Gallai test in O(n) on a non-increasing list of non-negative
+    integers with even sum.
+
+    For k = 1..n the right side k(k-1) + sum_{j>k} min(k, d_j) is read off
+    running sums: with p the number of entries >= k, the entries after
+    position k contribute k each up to position p and their own value
+    beyond it (``tail`` = d_{p+1} + ... + d_n).  p only falls as k grows.
+    Once p <= k, every later step adds 2(k - d_{k+1}) > 0 to the slack
+    (right side minus left side), so the inequality at that k decides the
+    rest.
+    """
+    total = sum(d)
+    lhs = 0
+    tail = 0
+    p = len(d)
+    for k, x in enumerate(d, 1):
+        while p and d[p - 1] < k:
+            p -= 1
+            tail += d[p]
+        lhs += x
+        if p <= k:
+            return lhs <= k * (k - 1) + total - lhs
+        if lhs > k * (k - 1) + k * (p - k) + tail:
+            return False
+    return True
+
+
 def is_graphic(seq: Degreeish) -> bool:
     """Whether some simple graph realizes the degree multiset.
 
     Total function: accepts any integer multiset (a :class:`DegreeSequence`
-    or a raw iterable, zeros allowed) and evaluates the Erdos-Gallai
-    inequalities directly.
+    or a raw iterable, zeros allowed).  The Erdos-Gallai test runs in O(n)
+    after an O(n log n) sort of raw input; on a :class:`DegreeSequence` it
+    runs once and the verdict is cached on the object.
     """
+    if isinstance(seq, DegreeSequence):
+        return seq._graphic
     d = _as_desc_list(seq)
     if not d:
         return True
-    if d[-1] < 0:
+    if d[-1] < 0 or sum(d) % 2 != 0:
         return False
-    if sum(d) % 2 != 0:
-        return False
-    n = len(d)
-    for k in range(1, n + 1):
-        lhs = sum(d[:k])
-        rhs = k * (k - 1) + sum(min(k, x) for x in d[k:])
-        if lhs > rhs:
-            return False
-    return True
+    return _erdos_gallai(d)
 
 
 def is_connected_realizable(seq: Degreeish) -> bool:
@@ -172,7 +201,7 @@ def is_connected_realizable(seq: Degreeish) -> bool:
         return False
     if sum(d) < 2 * (len(d) - 1):
         return False
-    return is_graphic(d)
+    return is_graphic(seq if isinstance(seq, DegreeSequence) else d)
 
 
 def classify(seq: DegreeSequence) -> SequenceClass:
@@ -314,9 +343,5 @@ def connected_realizable_sequences(n: int, excess: int) -> list[DegreeSequence]:
     if n < 1 or excess < -1:
         return []
     total = 2 * (n + excess)
-    found = []
-    for degs in _bounded_partitions(total, n, n - 1):
-        if is_graphic(degs):
-            found.append(degs)
-    found.sort()
-    return [DegreeSequence(t) for t in found]
+    candidates = [DegreeSequence(t) for t in _bounded_partitions(total, n, n - 1)]
+    return sorted((s for s in candidates if is_graphic(s)), key=lambda s: s.degrees)

@@ -84,6 +84,23 @@ def brute_force_buckets(n):
     return buckets
 
 
+def eg_quadratic(seq):
+    """Reference Erdos-Gallai scan in O(n^2): re-sums d[:k] and min(k, d_j)
+    for every k.  Same total-function contract as ``is_graphic``."""
+    d = sorted((int(x) for x in seq), reverse=True)
+    if not d:
+        return True
+    if d[-1] < 0 or sum(d) % 2 != 0:
+        return False
+    n = len(d)
+    for k in range(1, n + 1):
+        lhs = sum(d[:k])
+        rhs = k * (k - 1) + sum(min(k, x) for x in d[k:])
+        if lhs > rhs:
+            return False
+    return True
+
+
 def assert_valid_chain(chain, a: DegreeSequence, b: DegreeSequence):
     """Every adjacency in the chain must be a single sorted graphic unit transfer."""
     steps = chain.steps

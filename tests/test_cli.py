@@ -7,7 +7,8 @@ import sys
 
 import pytest
 
-from zagrebmax import SimpleGraph, serialize_edge_list
+from zagrebmax import SimpleGraph, cli, serialize_edge_list
+from zagrebmax import sequences as sq
 from helpers import SEVEN_VERTEX_GREEDY
 
 
@@ -165,6 +166,30 @@ def test_oracle_deterministic_bytes():
 def test_oracle_cap_env_var():
     proc = run_cli("oracle", "4,2,2,2,2", env_extra={"ZAGREBMAX_ORACLE_CAP": "4"})
     assert proc.returncode == 3
+
+
+def test_oracle_cap_env_var_malformed():
+    for argv in (("oracle", "4,2,2,2,2"), ("sweep", "--n", "5", "--excess", "0")):
+        proc = run_cli(*argv, env_extra={"ZAGREBMAX_ORACLE_CAP": "abc"})
+        assert proc.returncode == 2
+        error = json.loads(proc.stderr)["error"]
+        assert "ZAGREBMAX_ORACLE_CAP" in error and "'abc'" in error
+
+
+@pytest.mark.parametrize("command", ["validate", "construct", "bicyclic-max"])
+def test_request_runs_erdos_gallai_once(command, monkeypatch, capsys):
+    calls = []
+    original = sq._erdos_gallai
+
+    def counting(d):
+        calls.append(len(d))
+        return original(d)
+
+    monkeypatch.setattr(sq, "_erdos_gallai", counting)
+    # 4^5,1^8 is bicyclic case 5, which goes through the layered construction
+    assert cli.main([command, "4^5,1^8"]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]
+    assert calls == [13]
 
 
 def test_majorize_with_chain():

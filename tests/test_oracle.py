@@ -5,6 +5,8 @@ from itertools import islice
 
 import pytest
 
+from zagrebmax import oracle as orc
+from zagrebmax import sequences as sq
 from zagrebmax import (
     CapExceededError,
     DegreeSequence,
@@ -110,6 +112,25 @@ def test_oracle_examples():
     assert res.max_m2 == 20 and res.realization_count == 12
     res = search_max_m2(DegreeSequence.parse("4,4,3,3,2,1,1"))
     assert res.max_m2 == 87
+
+
+def test_oracle_counterexample_result_and_single_validation(monkeypatch):
+    calls = []
+    original = sq._erdos_gallai
+
+    def counting(d):
+        calls.append(len(d))
+        return original(d)
+
+    monkeypatch.setattr(sq, "_erdos_gallai", counting)
+    monkeypatch.setattr(orc, "_erdos_gallai", counting)
+    res = search_max_m2(DegreeSequence.parse("4,4,3,3,2,1,1"))
+    assert res.max_m2 == 87
+    assert res.witness == SEVEN_VERTEX_BETTER
+    assert res.realization_count == 38
+    # the search prunes on residual tails (length < n); the full
+    # sequence itself is checked once
+    assert calls.count(7) == 1 and len(calls) > 1
 
 
 def test_oracle_witness_is_sound():

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from zagrebmax import (
     DegreeSequence,
@@ -17,7 +17,8 @@ from zagrebmax import (
     majorization_chain,
     majorization_compare,
 )
-from helpers import all_pairs, assert_valid_chain
+from zagrebmax import sequences as sq
+from helpers import all_pairs, assert_valid_chain, eg_quadratic
 
 
 # --- parsing and construction ---------------------------------------------
@@ -105,6 +106,52 @@ def test_is_graphic_agrees_with_exhaustive_scan_up_to_n7():
 
         for cand in candidates(n, n - 1):
             assert is_graphic(cand) == (cand in realizable), cand
+
+
+@st.composite
+def _degree_lists(draw, min_value):
+    """Integer lists up to n = 60: either free draws, or the degrees of a
+    random graph nudged at a few positions, which land near the
+    Erdos-Gallai boundary."""
+    n = draw(st.integers(0, 60))
+    if draw(st.booleans()):
+        hi = draw(st.integers(max(min_value, 0), max(n, 1)))
+        return draw(st.lists(st.integers(min_value, hi), min_size=n, max_size=n))
+    deg = [0] * n
+    if n >= 2:
+        edges = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=4 * n))
+        for u, v in {(min(e), max(e)) for e in edges if e[0] != e[1]}:
+            deg[u] += 1
+            deg[v] += 1
+    if n:
+        for i in draw(st.lists(st.integers(0, n - 1), max_size=3)):
+            deg[i] = max(min_value, deg[i] + draw(st.sampled_from([-1, 1])))
+    return draw(st.permutations(deg))
+
+
+@settings(max_examples=400)
+@given(_degree_lists(min_value=-2))
+def test_is_graphic_matches_quadratic_reference(degs):
+    # raw, unsorted input with zeros, negatives, odd sums and the empty list
+    assert is_graphic(degs) == eg_quadratic(degs)
+
+
+@settings(max_examples=400)
+@given(_degree_lists(min_value=0))
+def test_linear_check_matches_reference_on_sorted_even_tails(degs):
+    # the oracle's residual tails: non-increasing, zeros allowed, even sum
+    d = sorted(degs, reverse=True)
+    if sum(d) % 2:
+        d[0] += 1
+    assert sq._erdos_gallai(d) == eg_quadratic(d)
+
+
+def test_cached_verdict_leaves_equality_and_hash_alone():
+    seq = DegreeSequence.parse("4^5,1^8")
+    assert is_graphic(seq)
+    fresh = DegreeSequence.parse("4^5,1^8")
+    assert seq == fresh and hash(seq) == hash(fresh)
+    assert repr(seq) == repr(fresh)
 
 
 # --- connected realizability and classification ----------------------------
