@@ -40,7 +40,8 @@ class SimpleGraph:
         for u, v in self.edges:
             adj[u].append(v)
             adj[v].append(u)
-        self._adj = tuple(tuple(sorted(nbrs)) for nbrs in adj)
+        # filled from the sorted edge tuple, so each list is already ascending
+        self._adj = tuple(tuple(nbrs) for nbrs in adj)
 
     @property
     def m(self) -> int:

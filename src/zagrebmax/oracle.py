@@ -8,18 +8,19 @@ component early.  This is exact: every labeled realization appears exactly
 once, in a deterministic order.
 
 ``search_max_m2`` certifies the exact maximum of the index over all
-connected realizations.  Because the index is invariant under relabeling,
-the search fixes the canonical degree assignment d(v_i) = d_i; the
-reported realization count is the count for that assignment.
-``enumerate_realizations`` instead streams every labeled graph whose
-sorted degree multiset equals the sequence, across all assignments.
+connected realizations by branch-and-bound over the same walk, skipping
+every branch whose upper bound cannot beat the best realization found so
+far.  Because the index is invariant under relabeling, the search fixes the
+canonical degree assignment d(v_i) = d_i.  It finds the maximum without
+counting realizations; ``enumerate_realizations`` streams every labeled
+graph whose sorted degree multiset equals the sequence, across all
+assignments.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator, Optional, Sequence
@@ -51,7 +52,7 @@ def default_cap() -> int:
 class OracleResult:
     max_m2: int
     witness: SimpleGraph
-    realization_count: int
+    nodes: int
     elapsed: float
 
 
@@ -74,13 +75,32 @@ class NeighborTransfer:
     moved: tuple[int, ...]
 
 
+@dataclass(slots=True)
+class _Incumbent:
+    """Branch-and-bound state: the best M2 found so far and the nodes entered."""
+
+    m2: int = -1
+    nodes: int = 0
+
+
 def _iter_edges(
     targets: Sequence[int],
     connected_only: bool,
-    first_choice: Optional[tuple[int, ...]] = None,
+    incumbent: Optional[_Incumbent] = None,
 ) -> Iterator[tuple[tuple[int, int], ...]]:
     """Yield each labeled realization of d(v_i) = targets[i] (0-based) once,
-    as a lexicographically sorted tuple of 0-based edges."""
+    as a lexicographically sorted tuple of 0-based edges, in lexicographic
+    order.
+
+    With an ``incumbent`` the walk is a branch-and-bound for the largest
+    index (``targets`` must be non-increasing): a child is entered only if
+    the index of its placed edges plus the best pairing of the remaining
+    stubs exceeds ``incumbent.m2``.  That pairing lists each vertex's target
+    degree once per remaining stub, in descending order, and sums
+    w0*w1 + w2*w3 + ...; by the rearrangement inequality no completion does
+    better.  Each leaf yielded then beats every earlier one, so the last is
+    the lexicographically smallest maximum.
+    """
     n = len(targets)
     full = (1 << n) - 1
     res = list(targets)
@@ -101,12 +121,32 @@ def _iter_edges(
             comp |= frontier
         return comp
 
-    def rec(i: int) -> Iterator[tuple[tuple[int, int], ...]]:
+    def pairing(start: int) -> int:
+        total = 0
+        carry = 0
+        for v in range(start, n):
+            r = res[v]
+            if r:
+                t = targets[v]
+                if carry:
+                    total += carry * t
+                    r -= 1
+                    carry = 0
+                total += (r >> 1) * t * t
+                if r & 1:
+                    carry = t
+        return total
+
+    def rec(i: int, m2: int) -> Iterator[tuple[tuple[int, int], ...]]:
+        if incumbent is not None:
+            incumbent.nodes += 1
         while i < n and res[i] == 0:
             i += 1
         if i == n:
             if connected_only and component(0) != full:
                 return
+            if incumbent is not None:
+                incumbent.m2 = m2
             yield tuple(edges)
             return
         need = res[i]
@@ -114,16 +154,18 @@ def _iter_edges(
         if need > len(cand):
             return
         bit_i = 1 << i
-        if i == 0 and first_choice is not None:
-            choices: Iterator[tuple[int, ...]] = iter([first_choice])
-        else:
-            choices = combinations(cand, need)
-        for combo in choices:
+        t_i = targets[i]
+        placed = 0
+        for combo in combinations(cand, need):
             res[i] = 0
             for j in combo:
                 res[j] -= 1
-            tail = sorted(res[i + 1 :], reverse=True)
-            good = _erdos_gallai(tail)
+            good = True
+            if incumbent is not None:
+                placed = m2 + t_i * sum(targets[j] for j in combo)
+                good = placed + pairing(i + 1) > incumbent.m2
+            if good:
+                good = _erdos_gallai(sorted(res[i + 1 :], reverse=True))
             if good:
                 for j in combo:
                     adj[i] |= 1 << j
@@ -139,7 +181,7 @@ def _iter_edges(
                             good = False
                 if good:
                     edges.extend((i, j) for j in combo)
-                    yield from rec(i + 1)
+                    yield from rec(i + 1, placed)
                     del edges[len(edges) - need :]
                 for j in combo:
                     adj[i] ^= 1 << j
@@ -148,7 +190,7 @@ def _iter_edges(
                 res[j] += 1
             res[i] = need
 
-    yield from rec(0)
+    yield from rec(0, 0)
 
 
 def _distinct_assignments(degrees: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
@@ -201,34 +243,13 @@ def enumerate_realizations(
             yield g
 
 
-def _scan_subtree(
-    targets: tuple[int, ...], first_choice: Optional[tuple[int, ...]]
-) -> tuple[int, int, Optional[tuple[tuple[int, int], ...]]]:
-    """(count, best_m2, best_edges) over one branch of the search tree."""
-    count = 0
-    best_m2 = -1
-    best_edges: Optional[tuple[tuple[int, int], ...]] = None
-    for edges in _iter_edges(targets, True, first_choice):
-        count += 1
-        m2 = 0
-        for u, v in edges:
-            m2 += targets[u] * targets[v]
-        if m2 > best_m2 or (m2 == best_m2 and best_edges is not None and edges < best_edges):
-            best_m2 = m2
-            best_edges = edges
-    return count, best_m2, best_edges
-
-
-def search_max_m2(
-    seq: DegreeSequence, cap: Optional[int] = None, workers: int = 1
-) -> OracleResult:
+def search_max_m2(seq: DegreeSequence, cap: Optional[int] = None) -> OracleResult:
     """Certify the exact maximum second Zagreb index over all connected
-    realizations, with one witness graph.
+    realizations, with one witness graph: the lexicographically smallest
+    maximal edge list.
 
-    The search tree is partitioned by the root vertex's neighbor choice;
-    ``workers`` only controls how the partitions are evaluated, the result
-    is identical for any worker count (counts add, maxima reduce with a
-    canonical edge-list tie-break).
+    A depth-first branch-and-bound over the rows that the enumerator walks;
+    ``nodes`` in the result counts the search nodes it entered.
     """
     cap = default_cap() if cap is None else cap
     if seq.n > cap:
@@ -238,39 +259,19 @@ def search_max_m2(
             f"({seq.to_text()}) has no connected realization; search space is empty"
         )
     start = time.perf_counter()
-    targets = seq.degrees
-    n = seq.n
-    tasks: list[Optional[tuple[int, ...]]]
-    if n > 1:
-        tasks = list(combinations(range(1, n), targets[0]))
-    else:
-        tasks = [None]
-
-    if workers <= 1:
-        partials = [_scan_subtree(targets, t) for t in tasks]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(lambda t: _scan_subtree(targets, t), tasks))
-
-    count = 0
-    best_m2 = -1
+    incumbent = _Incumbent()
     best_edges: Optional[tuple[tuple[int, int], ...]] = None
-    for c, m2, edges in partials:
-        count += c
-        if edges is None:
-            continue
-        if m2 > best_m2 or (m2 == best_m2 and edges < best_edges):
-            best_m2 = m2
-            best_edges = edges
+    for best_edges in _iter_edges(seq.degrees, True, incumbent):
+        pass
     if best_edges is None:
         raise DomainError(
             f"internal: ({seq.to_text()}) passed realizability but produced no graph"
         )
-    witness = SimpleGraph(n, [(u + 1, v + 1) for u, v in best_edges])
+    witness = SimpleGraph(seq.n, [(u + 1, v + 1) for u, v in best_edges])
     return OracleResult(
-        max_m2=best_m2,
+        max_m2=incumbent.m2,
         witness=witness,
-        realization_count=count,
+        nodes=incumbent.nodes,
         elapsed=time.perf_counter() - start,
     )
 

@@ -263,8 +263,8 @@ def test_criterion_9_enumeration_soundness_and_determinism():
     for text in ("3,3,2,2,2,2", "4,2,2,2,2"):
         seq = DegreeSequence.parse(text)
         results = {
-            (r.max_m2, r.realization_count, r.witness.edges)
-            for r in (search_max_m2(seq, workers=w) for w in (1, 4))
+            (r.max_m2, r.nodes, r.witness.edges)
+            for r in (search_max_m2(seq) for _ in range(2))
         }
         deterministic = deterministic and len(results) == 1
     ok = mismatch == 0 and deterministic
@@ -272,5 +272,5 @@ def test_criterion_9_enumeration_soundness_and_determinism():
         9,
         ok,
         f"enumeration counts match the full adjacency scan for {checked} graphic "
-        f"sequences with n <= 6; oracle identical for 1 vs 4 workers",
+        f"sequences with n <= 6; oracle identical across repeated runs",
     )

@@ -164,7 +164,7 @@ def test_witness_always_realizes_the_sequence():
             assert second_zagreb(g) == res.value
 
 
-def test_agrees_with_oracle_up_to_n9():
-    for n in range(5, 10):
+def test_agrees_with_oracle_up_to_n10():
+    for n in range(5, 11):
         for seq in connected_realizable_sequences(n, 1):
             assert bicyclic_max_m2(seq).value == search_max_m2(seq).max_m2, seq.to_text()

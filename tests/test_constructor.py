@@ -146,14 +146,15 @@ def test_excess_three_generalizes():
     assert second_zagreb(trace.graph) == 127 == search_max_m2(seq).max_m2
 
 
-def test_admissible_sequences_match_oracle_at_n9():
-    # extends the n <= 8 acceptance sweep one order further
-    count = 0
-    for seq in _admissible(9):
-        got = second_zagreb(construct_extremal(seq).graph)
-        assert got == search_max_m2(seq).max_m2, seq.to_text()
-        count += 1
-    assert count == 91
+def test_admissible_sequences_match_oracle_at_n9_and_n10():
+    # extends the n <= 8 acceptance sweep two orders further
+    for n, expected in ((9, 91), (10, 139)):
+        count = 0
+        for seq in _admissible(n):
+            got = second_zagreb(construct_extremal(seq).graph)
+            assert got == search_max_m2(seq).max_m2, seq.to_text()
+            count += 1
+        assert count == expected
 
 
 # --- ordering verification ----------------------------------------------------

@@ -44,6 +44,17 @@ def test_construction_and_queries():
     assert g.has_edge(3, 2) and not g.has_edge(1, 4)
 
 
+def test_neighbors_ascending_whatever_the_edge_order():
+    edges = [(1, 5), (2, 5), (3, 5), (4, 5), (5, 6), (5, 7), (1, 7), (2, 6), (3, 4)]
+    shuffled = edges[:]
+    random.Random(7).shuffle(shuffled)
+    for order in (edges, edges[::-1], shuffled, [(v, u) for u, v in reversed(edges)]):
+        g = SimpleGraph(7, order)
+        for v in range(1, 8):
+            assert list(g.neighbors(v)) == sorted(g.neighbors(v))
+        assert g.neighbors(5) == (1, 2, 3, 4, 6, 7)
+
+
 @pytest.mark.parametrize(
     "n,edges",
     [(3, [(1, 1)]), (3, [(1, 2), (2, 1)]), (3, [(1, 4)]), (0, [])],

@@ -1,4 +1,5 @@
-"""Tests for exhaustive enumeration, the transformation moves, and hill climbing."""
+"""Tests for exhaustive enumeration, the branch-and-bound oracle, the
+transformation moves, and hill climbing."""
 
 import random
 from itertools import islice
@@ -31,6 +32,7 @@ from helpers import (
     brute_force_buckets,
     valid_swaps,
 )
+from zagrebmax.sequences import connected_realizable_sequences
 
 
 def cycle(n):
@@ -105,11 +107,16 @@ def test_enumeration_guards():
 # --- the oracle -----------------------------------------------------------------
 
 
+def labeled_count(seq):
+    """Connected realizations under the canonical assignment d(v_i) = d_i."""
+    return sum(1 for _ in orc._iter_edges(seq.degrees, True))
+
+
 def test_oracle_examples():
-    res = search_max_m2(DegreeSequence((4, 2, 2, 2, 2)))
-    assert res.max_m2 == 40 and res.realization_count == 3
-    res = search_max_m2(DegreeSequence((2, 2, 2, 2, 2)))
-    assert res.max_m2 == 20 and res.realization_count == 12
+    seq = DegreeSequence((4, 2, 2, 2, 2))
+    assert search_max_m2(seq).max_m2 == 40 and labeled_count(seq) == 3
+    seq = DegreeSequence((2, 2, 2, 2, 2))
+    assert search_max_m2(seq).max_m2 == 20 and labeled_count(seq) == 12
     res = search_max_m2(DegreeSequence.parse("4,4,3,3,2,1,1"))
     assert res.max_m2 == 87
 
@@ -124,13 +131,14 @@ def test_oracle_counterexample_result_and_single_validation(monkeypatch):
 
     monkeypatch.setattr(sq, "_erdos_gallai", counting)
     monkeypatch.setattr(orc, "_erdos_gallai", counting)
-    res = search_max_m2(DegreeSequence.parse("4,4,3,3,2,1,1"))
+    seq = DegreeSequence.parse("4,4,3,3,2,1,1")
+    res = search_max_m2(seq)
     assert res.max_m2 == 87
     assert res.witness == SEVEN_VERTEX_BETTER
-    assert res.realization_count == 38
     # the search prunes on residual tails (length < n); the full
     # sequence itself is checked once
     assert calls.count(7) == 1 and len(calls) > 1
+    assert labeled_count(seq) == 38
 
 
 def test_oracle_witness_is_sound():
@@ -155,11 +163,32 @@ def test_oracle_cap():
         search_max_m2(DegreeSequence((2,) * 12))
 
 
-def test_oracle_determinism_across_workers():
+def test_oracle_determinism_across_runs():
     for text in ("3,3,2,2,2,2", "4,3,2,2,2,2,1"):
-        seq = DegreeSequence.parse(text)
-        results = [search_max_m2(seq, workers=w) for w in (1, 2, 5)]
-        assert len({(r.max_m2, r.realization_count, r.witness.edges) for r in results}) == 1
+        results = [search_max_m2(DegreeSequence.parse(text)) for _ in range(3)]
+        assert len({(r.max_m2, r.nodes, r.witness.edges) for r in results}) == 1
+
+
+def test_branch_and_bound_matches_exhaustive_scan():
+    # the maximum and the lexicographically smallest maximal edge list, as
+    # found by scoring every connected realization the enumerator yields
+    checked = 0
+    for n in range(2, 9):
+        for c in range(-1, 4):
+            for seq in connected_realizable_sequences(n, c):
+                d = seq.degrees
+                best_m2, best_edges = -1, None
+                for edges in orc._iter_edges(d, True):
+                    m2 = sum(d[u] * d[v] for u, v in edges)
+                    if m2 > best_m2:
+                        best_m2, best_edges = m2, edges
+                res = search_max_m2(seq)
+                assert res.max_m2 == best_m2, seq.to_text()
+                want = tuple((u + 1, v + 1) for u, v in best_edges)
+                assert res.witness.edges == want, seq.to_text()
+                assert res.nodes > 0
+                checked += 1
+    assert checked == 290
 
 
 # --- edge swaps -----------------------------------------------------------------
