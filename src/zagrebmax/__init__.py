@@ -37,7 +37,6 @@ from .oracle import (
     apply_neighbor_transfer,
     enumerate_realizations,
     hill_climb,
-    local_search,
     search_max_m2,
 )
 from .sequences import (

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .constructor import construct_extremal_bicyclic
+from .constructor import construct_extremal
 from .errors import DomainError
 from .graphs import SimpleGraph, degree_sequence_of, second_zagreb
 from .sequences import KIND_BICYCLIC, DegreeSequence, classify
@@ -141,59 +141,50 @@ def bicyclic_max_m2(seq: DegreeSequence) -> BicyclicMaxResult:
     n = seq.n
     s = cls.leaf_count
 
+    # Excess 1 with positive degrees fixes the profile from dn and d2 (see
+    # above); the witness check at the end backs each closed form.
     if d[-1] == 2:
         if d[1] >= 3:
-            if d != (3, 3) + (2,) * (n - 2):
-                raise DomainError(
-                    f"({seq.to_text()}) cannot be bicyclic: excess beyond degree 2 "
-                    "must be two unit bumps or one double bump"
-                )
             value = 4 * n + 17
             if n >= 6:
                 witness = BicyclicWitness(
                     FAMILY_PATH_JOINED, (3, 1, n - 3), build_path_joined_cycles(3, 1, n - 3)
                 )
             else:
-                # n = 5 cannot host two disjoint cycles; the theta with a
+                # n <= 5 cannot host two disjoint cycles; the theta with a
                 # direct edge attains the same index.
-                witness = BicyclicWitness(FAMILY_THETA, (3, 2, 1), build_theta(3, 2, 1))
+                witness = BicyclicWitness(
+                    FAMILY_THETA, (n - 2, 2, 1), build_theta(n - 2, 2, 1)
+                )
             case_id = 1
         else:
-            if d != (4,) + (2,) * (n - 1):
-                raise DomainError(
-                    f"({seq.to_text()}) cannot be bicyclic with d2 = dn = 2"
-                )
             value = 4 * n + 20
             witness = BicyclicWitness(
                 FAMILY_GLUED, (3, n - 2), build_vertex_glued_cycles(3, n - 2)
             )
             case_id = 2
-    else:
-        if d[1] == 2:
-            # Profile (d1, 2^k, 1^s); the handshake forces d1 = s + 4 and
-            # graphicness forces k >= 4.
-            if d[0] != s + 4:
-                raise DomainError(
-                    f"({seq.to_text()}) violates the handshake identity d1 = s + 4"
-                )
-            if 2 * s <= n - 5:
-                lengths = [n - 2 * s - 3] + [2] * (s - 1)
-                value = 4 * n + 2 * s * s + 10 * s + 20
-                case_id = 3
-            else:
-                lengths = [2] * (n - s - 5) + [1] * (2 * s - n + 5)
-                value = s * n + 6 * n + s + 10
-                case_id = 4
-            witness = BicyclicWitness(
-                FAMILY_GLUED_PATHS,
-                (3, 3) + tuple(lengths),
-                build_glued_cycles_with_paths(3, 3, lengths),
-            )
+    elif d[1] == 2:
+        # Profile (d1, 2^k, 1^s); the handshake forces d1 = s + 4 and
+        # graphicness forces k >= 4.
+        if 2 * s <= n - 5:
+            lengths = [n - 2 * s - 3] + [2] * (s - 1)
+            value = 4 * n + 2 * s * s + 10 * s + 20
+            case_id = 3
         else:
-            trace = construct_extremal_bicyclic(seq)
-            value = second_zagreb(trace.graph)
-            witness = BicyclicWitness(FAMILY_LAYERED, (), trace.graph)
-            case_id = 5
+            lengths = [2] * (n - s - 5) + [1] * (2 * s - n + 5)
+            value = s * n + 6 * n + s + 10
+            case_id = 4
+        witness = BicyclicWitness(
+            FAMILY_GLUED_PATHS,
+            (3, 3) + tuple(lengths),
+            build_glued_cycles_with_paths(3, 3, lengths),
+        )
+    else:
+        # At c = 1, conditions (ii) and (iv) are d2 >= 3 and dn = 1.
+        trace = construct_extremal(seq)
+        value = second_zagreb(trace.graph)
+        witness = BicyclicWitness(FAMILY_LAYERED, (), trace.graph)
+        case_id = 5
 
     realized = degree_sequence_of(witness.graph)
     if realized.degrees != seq.degrees:

@@ -61,8 +61,6 @@ def construct_extremal(seq: DegreeSequence) -> ConstructionTrace:
         raise DomainError(f"({seq.to_text()}) has no connected realization")
     report = check_optimality_conditions(seq)
     c = report.excess
-    if not report.holds_i:
-        raise DomainError(f"excess {c} below -1; not admissible")
     if not report.holds_ii:
         raise DomainError(
             f"condition (ii) fails: d2 = {seq.degrees[1]} < c+2 = {c + 2}"
@@ -73,18 +71,18 @@ def construct_extremal(seq: DegreeSequence) -> ConstructionTrace:
     if not report.holds_iii:
         warnings = ("condition (iii) violated; optimality not guaranteed",)
 
+    # A connected realization has c >= -1, so (i) holds, and d1 <= n-1 with
+    # (ii) gives c+3 <= d1+1 <= n: the apex triangles fit in the first layer.
+    # Every other edge goes to a fresh vertex, so no edge is placed twice.
     d = seq.degrees
     n = seq.n
-    if c >= 0 and n < c + 3:
-        raise ConstructionError(f"need at least {c + 3} vertices for excess {c}")
-
-    adj: list[set[int]] = [set() for _ in range(n + 1)]
+    deg = [0] * (n + 1)
+    edges: list[tuple[int, int]] = []
 
     def add_edge(u: int, v: int):
-        if v in adj[u]:
-            raise ConstructionError(f"edge ({u},{v}) requested twice")
-        adj[u].add(v)
-        adj[v].add(u)
+        edges.append((u, v))
+        deg[u] += 1
+        deg[v] += 1
 
     layer: list[int] = [-1] * (n + 1)
     layer[1] = 0
@@ -92,9 +90,9 @@ def construct_extremal(seq: DegreeSequence) -> ConstructionTrace:
     for j in range(2, first_layer_end + 1):
         add_edge(1, j)
         layer[j] = 1
-    if c >= 0:
-        for j in range(3, c + 4):
-            add_edge(2, j)
+    triangles = tuple((1, 2, j) for j in range(3, c + 4))
+    for j in range(3, c + 4):
+        add_edge(2, j)
 
     next_child = first_layer_end + 1
     for i in range(1, n + 1):
@@ -103,7 +101,7 @@ def construct_extremal(seq: DegreeSequence) -> ConstructionTrace:
                 f"degree budget ran out before vertex {i} was attached; "
                 "the sequence admits no such layered graph"
             )
-        have = len(adj[i])
+        have = deg[i]
         want = d[i - 1]
         if have > want:
             raise ConstructionError(
@@ -123,11 +121,8 @@ def construct_extremal(seq: DegreeSequence) -> ConstructionTrace:
             f"{n + 1 - next_child} vertices left unplaced; the result would be disconnected"
         )
 
-    edges = [(u, v) for u in range(1, n + 1) for v in adj[u] if u < v]
-    graph = SimpleGraph(n, edges)
-    triangles = tuple((1, 2, j) for j in range(3, c + 4)) if c >= 0 else ()
     return ConstructionTrace(
-        graph=graph,
+        graph=SimpleGraph(n, edges),
         ordering=tuple(range(1, n + 1)),
         layers=tuple(layer[1:]),
         triangles=triangles,
@@ -140,13 +135,7 @@ def construct_extremal_bicyclic(seq: DegreeSequence) -> ConstructionTrace:
     cls = classify(seq)
     if cls.kind != KIND_BICYCLIC:
         raise DomainError(f"({seq.to_text()}) is {cls.kind}, not bicyclic")
-    if seq.degrees[1] < 3:
-        raise DomainError("bicyclic construction needs d2 >= 3")
-    if seq.degrees[-1] != 1:
-        raise DomainError("bicyclic construction needs a leaf (dn = 1)")
-    trace = construct_extremal(seq)
-    assert len(trace.triangles) == 2
-    return trace
+    return construct_extremal(seq)
 
 
 def _bfs_layers(g: SimpleGraph, root: int) -> list[int]:

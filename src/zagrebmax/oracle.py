@@ -351,9 +351,3 @@ def hill_climb(g: SimpleGraph) -> tuple[SimpleGraph, list[EdgeSwap]]:
             if improved:
                 break
     return g, applied
-
-
-def local_search(g: SimpleGraph) -> SimpleGraph:
-    """Hill-climb endpoint: same degree sequence, index never lower, and no
-    improving connectivity-preserving swap remains."""
-    return hill_climb(g)[0]

@@ -189,19 +189,15 @@ def is_graphic(seq: Degreeish) -> bool:
     return _erdos_gallai(d)
 
 
-def is_connected_realizable(seq: Degreeish) -> bool:
-    """Whether some *connected* simple graph realizes the multiset.
+def is_connected_realizable(seq: DegreeSequence) -> bool:
+    """Whether some *connected* simple graph realizes the sequence.
 
-    Holds iff the sequence is graphic, every degree is >= 1, and the degree
-    sum is at least 2(n-1) (enough edges for a spanning tree); a classical
-    exchange argument shows these conditions are sufficient.
+    Holds iff the sequence is graphic and the degree sum is at least 2(n-1)
+    (enough edges for a spanning tree); every degree is >= 1 by
+    construction of :class:`DegreeSequence`.  A classical exchange argument
+    shows these conditions are sufficient.
     """
-    d = _as_desc_list(seq)
-    if not d or d[-1] < 1:
-        return False
-    if sum(d) < 2 * (len(d) - 1):
-        return False
-    return is_graphic(seq if isinstance(seq, DegreeSequence) else d)
+    return seq.total >= 2 * (seq.n - 1) and seq._graphic
 
 
 def classify(seq: DegreeSequence) -> SequenceClass:

@@ -155,7 +155,7 @@ def test_case_boundary_is_inclusive():
 
 
 def test_witness_always_realizes_the_sequence():
-    for n in range(5, 9):
+    for n in range(4, 9):
         for seq in connected_realizable_sequences(n, 1):
             res = bicyclic_max_m2(seq)
             g = res.witness.graph
@@ -165,6 +165,6 @@ def test_witness_always_realizes_the_sequence():
 
 
 def test_agrees_with_oracle_up_to_n10():
-    for n in range(5, 11):
+    for n in range(4, 11):
         for seq in connected_realizable_sequences(n, 1):
             assert bicyclic_max_m2(seq).value == search_max_m2(seq).max_m2, seq.to_text()

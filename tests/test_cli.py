@@ -194,6 +194,24 @@ def test_request_runs_erdos_gallai_once(command, monkeypatch, capsys):
     assert calls == [13]
 
 
+def test_bicyclic_max_classifies_once(monkeypatch, capsys):
+    calls = []
+    original = sq.classify
+
+    def counting(seq):
+        calls.append(seq.n)
+        return original(seq)
+
+    # patch every zagrebmax module that binds classify, not only its home
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "zagrebmax" and getattr(module, "classify", None) is original:
+            monkeypatch.setattr(module, "classify", counting)
+    # 4^5,1^8 is bicyclic case 5, which goes through the layered construction
+    assert cli.main(["bicyclic-max", "4^5,1^8"]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["case"] == 5
+    assert calls == [13]
+
+
 def test_majorize_with_chain():
     out = run_json("majorize", "3,3,2,2,2", "4,2,2,2,2", "--chain")
     assert out["result"]["order"] == "a_below_b"

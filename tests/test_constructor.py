@@ -7,7 +7,6 @@ from zagrebmax import (
     DegreeSequence,
     DomainError,
     SimpleGraph,
-    classify,
     construct_extremal,
     construct_extremal_bicyclic,
     degree_sequence_of,
@@ -118,23 +117,34 @@ def _admissible(n, excesses=(-1, 0, 1, 2)):
 
 
 def test_construction_contract_over_small_sweep():
-    for n in range(2, 8):
-        for seq in _admissible(n):
-            trace = construct_extremal(seq)
-            g = trace.graph
-            assert degree_sequence_of(g).degrees == seq.degrees
-            assert is_connected(g)
-            assert g.m == g.n + classify(seq).excess
-            assert verify_bfs_ordering(g, trace.ordering).holds
-            # recorded layers are true root distances
-            from zagrebmax.constructor import _bfs_layers
+    # Every connected-realizable sequence with n <= 9 and c in {-1, ..., 3}:
+    # each one the construction accepts, (iii) warning or not, yields a
+    # simple connected layered realization; every other one is rejected
+    # with a DomainError.
+    from zagrebmax.constructor import _bfs_layers
 
-            assert list(trace.layers) == _bfs_layers(g, 1)[1:]
-            c = classify(seq).excess
-            if c >= 0:
+    built = 0
+    for n in range(2, 10):
+        for c in range(-1, 4):
+            for seq in connected_realizable_sequences(n, c):
+                try:
+                    trace = construct_extremal(seq)
+                except DomainError:
+                    continue
+                built += 1
+                g = trace.graph
+                assert degree_sequence_of(g).degrees == seq.degrees
+                assert is_connected(g)
+                assert g.m == g.n + c
+                assert verify_bfs_ordering(g, trace.ordering).holds
+                # recorded layers are true root distances
+                assert list(trace.layers) == _bfs_layers(g, 1)[1:]
                 assert trace.triangles == tuple((1, 2, j) for j in range(3, c + 4))
                 for a, b, d in trace.triangles:
                     assert g.has_edge(a, b) and g.has_edge(b, d) and g.has_edge(a, d)
+                holds_iii = check_optimality_conditions(seq).holds_iii
+                assert bool(trace.warnings) == (not holds_iii)
+    assert built == 252
 
 
 def test_excess_three_generalizes():
