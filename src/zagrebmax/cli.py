@@ -9,6 +9,7 @@ renders an indented view); exit codes: 0 success, 1 domain rejection,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from itertools import combinations
@@ -248,7 +249,9 @@ def cmd_sweep(args) -> dict:
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="zagrebmax",
         description="Extremal second-Zagreb-index graphs for degree sequences.",

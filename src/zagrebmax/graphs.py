@@ -8,8 +8,6 @@ is the only graph file format.
 
 from __future__ import annotations
 
-import math
-from itertools import permutations
 from typing import Iterable, Mapping
 
 from .errors import CapExceededError, DomainError, ParseError
@@ -175,27 +173,21 @@ def to_dot(g: SimpleGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _refine_colors(g: SimpleGraph) -> list[int]:
-    """Iterated neighborhood color refinement; color ids are canonical
-    (assigned by sorted signature), so they agree across isomorphic graphs."""
-    degs = g.degrees()
-    ranking = {d: i for i, d in enumerate(sorted(set(degs[1:]), reverse=True))}
-    colors = [0] * (g.n + 1)
-    for v in range(1, g.n + 1):
-        colors[v] = ranking[degs[v]]
-    ncolors = len(ranking)
+def _refine(g: SimpleGraph, colors: list[int]) -> list[int]:
+    """Refine a vertex coloring until every vertex of a color sees the same
+    multiset of neighbor colors.  Color ids are canonical (assigned by sorted
+    signature, which leads with the old color), so they agree across
+    isomorphic colored graphs and keep the order of the cells they split."""
+    ncolors = len(set(colors[1:]))
     while True:
-        sigs = {
-            v: (colors[v], tuple(sorted(colors[u] for u in g.neighbors(v))))
+        sigs = [
+            (colors[v], tuple(sorted([colors[u] for u in g._adj[v]])))
             for v in range(1, g.n + 1)
-        }
-        remap = {sig: i for i, sig in enumerate(sorted(set(sigs.values())))}
-        new = [0] * (g.n + 1)
-        for v in range(1, g.n + 1):
-            new[v] = remap[sigs[v]]
+        ]
+        remap = {sig: i for i, sig in enumerate(sorted(set(sigs)))}
+        colors = [0] + [remap[sig] for sig in sigs]
         if len(remap) == ncolors:
-            return new
-        colors = new
+            return colors
         ncolors = len(remap)
 
 
@@ -204,43 +196,50 @@ def canonical_form(
 ) -> tuple[tuple[int, int], ...]:
     """Canonical edge tuple: equal for two graphs iff they are isomorphic.
 
-    Color-refines the vertices, then minimizes the relabeled edge list over
-    all orderings that respect the stable color partition.  The number of
-    orderings is the product of the cell factorials; refuses above
-    ``perm_cap``.
+    Individualization-refinement (McKay & Piperno, "Practical graph
+    isomorphism, II", 2014): color-refine the vertices by degree, take the
+    first cell with more than one vertex (by color id), give each of its
+    vertices in turn a color of its own, refine again and recurse.  Every
+    choice is made on canonical colors, so the set of discrete leaves is the
+    same for isomorphic graphs; the least relabeled edge list over those
+    leaves is the form.  ``perm_cap`` bounds the search nodes entered;
+    beyond it the search refuses.
     """
-    colors = _refine_colors(g)
-    cells: dict[int, list[int]] = {}
-    for v in range(1, g.n + 1):
-        cells.setdefault(colors[v], []).append(v)
-    ordered_cells = [cells[c] for c in sorted(cells)]
-    total = math.prod(math.factorial(len(cell)) for cell in ordered_cells)
-    if total > perm_cap:
-        raise CapExceededError(
-            f"canonical form would scan {total} orderings (cap {perm_cap})"
-        )
+    degs = g.degrees()
+    ranking = {d: i for i, d in enumerate(sorted(set(degs[1:]), reverse=True))}
     best: tuple[tuple[int, int], ...] | None = None
-    position = [0] * (g.n + 1)
+    nodes = 0
 
-    def assign(cell_idx: int):
-        nonlocal best
-        if cell_idx == len(ordered_cells):
-            relabeled = sorted(
-                (position[u], position[v]) if position[u] < position[v] else (position[v], position[u])
-                for u, v in g.edges
+    def search(colors: list[int]) -> None:
+        nonlocal best, nodes
+        nodes += 1
+        if nodes > perm_cap:
+            raise CapExceededError(
+                f"canonical form search exceeds its cap of {perm_cap} nodes"
             )
-            cand = tuple(relabeled)
+        sizes = [0] * g.n
+        for c in colors[1:]:
+            sizes[c] += 1
+        target = next((c for c, size in enumerate(sizes) if size > 1), None)
+        if target is None:
+            cand = tuple(
+                sorted(
+                    (colors[u] + 1, colors[v] + 1)
+                    if colors[u] < colors[v]
+                    else (colors[v] + 1, colors[u] + 1)
+                    for u, v in g.edges
+                )
+            )
             if best is None or cand < best:
                 best = cand
             return
-        cell = ordered_cells[cell_idx]
-        start = 1 + sum(len(c) for c in ordered_cells[:cell_idx])
-        for perm in permutations(cell):
-            for offset, v in enumerate(perm):
-                position[v] = start + offset
-            assign(cell_idx + 1)
+        cell = [v for v in range(1, g.n + 1) if colors[v] == target]
+        for v in cell:
+            split = [2 * c + (c == target) for c in colors]
+            split[v] = 2 * target
+            search(_refine(g, split))
 
-    assign(0)
+    search(_refine(g, [0] + [ranking[d] for d in degs[1:]]))
     assert best is not None
     return best
 

@@ -14,7 +14,7 @@ far.  Because the index is invariant under relabeling, the search fixes the
 canonical degree assignment d(v_i) = d_i.  It finds the maximum without
 counting realizations; ``enumerate_realizations`` streams every labeled
 graph whose sorted degree multiset equals the sequence, across all
-assignments.
+assignments (only the canonical one when reducing up to isomorphism).
 """
 
 from __future__ import annotations
@@ -223,16 +223,23 @@ def enumerate_realizations(
 ) -> Iterator[SimpleGraph]:
     """Stream every labeled simple graph whose sorted degree multiset equals
     ``seq``, optionally restricted to connected graphs.  Deterministic order;
-    each graph appears exactly once.  With ``isomorphism_reduce`` only the
-    first representative of each isomorphism class is yielded (slower: each
-    graph is canonicalized)."""
+    each graph appears exactly once.
+
+    With ``isomorphism_reduce`` only the first representative of each
+    isomorphism class is yielded.  Every class has a labeling with
+    d(v_i) = d_i, the first assignment walked, so only that assignment is
+    walked and each of its graphs is canonicalized; the later assignments
+    would yield only repeats."""
     cap = default_cap() if cap is None else cap
     if seq.n > cap:
         raise CapExceededError(f"n = {seq.n} exceeds the enumeration cap {cap}")
     if not is_graphic(seq):
         raise DomainError(f"({seq.to_text()}) is not graphic")
     seen: set = set()
-    for assignment in _distinct_assignments(seq.degrees):
+    assignments = (
+        [seq.degrees] if isomorphism_reduce else _distinct_assignments(seq.degrees)
+    )
+    for assignment in assignments:
         for edges in _iter_edges(assignment, connected_only):
             g = SimpleGraph(seq.n, [(u + 1, v + 1) for u, v in edges])
             if isomorphism_reduce:

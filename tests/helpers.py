@@ -7,15 +7,18 @@ The two thirteen-vertex graphs realize (4^5,1^8) and are non-isomorphic
 optima with the same index.
 """
 
-from itertools import combinations
+import math
+from itertools import combinations, permutations
 
 from zagrebmax import (
+    CapExceededError,
     DegreeSequence,
     SimpleGraph,
     is_graphic,
     majorization_compare,
     MajorizationOrder,
 )
+from zagrebmax.oracle import _distinct_assignments, _iter_edges
 
 SEVEN_VERTEX_GREEDY = SimpleGraph(
     7, [(1, 2), (1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (2, 5), (3, 6), (4, 7)]
@@ -136,4 +139,87 @@ def valid_swaps(g):
                 continue
             gain = (deg[v1] - deg[u2]) * (deg[v2] - deg[u1])
             out.append((EdgeSwap(v1, u1, v2, u2), gain))
+    return out
+
+
+def _refine_colors_reference(g):
+    """Iterated neighborhood color refinement from the degree coloring; color
+    ids are assigned by sorted signature."""
+    degs = g.degrees()
+    ranking = {d: i for i, d in enumerate(sorted(set(degs[1:]), reverse=True))}
+    colors = [0] * (g.n + 1)
+    for v in range(1, g.n + 1):
+        colors[v] = ranking[degs[v]]
+    ncolors = len(ranking)
+    while True:
+        sigs = {
+            v: (colors[v], tuple(sorted(colors[u] for u in g.neighbors(v))))
+            for v in range(1, g.n + 1)
+        }
+        remap = {sig: i for i, sig in enumerate(sorted(set(sigs.values())))}
+        new = [0] * (g.n + 1)
+        for v in range(1, g.n + 1):
+            new[v] = remap[sigs[v]]
+        if len(remap) == ncolors:
+            return new
+        colors = new
+        ncolors = len(remap)
+
+
+def canonical_form_by_permutations(g, perm_cap=2_000_000):
+    """Reference canonical form: color-refine once, then take the least
+    relabeled edge list over every ordering that respects the stable color
+    partition (the product of the cell factorials; refuses above
+    ``perm_cap``)."""
+    colors = _refine_colors_reference(g)
+    cells = {}
+    for v in range(1, g.n + 1):
+        cells.setdefault(colors[v], []).append(v)
+    ordered_cells = [cells[c] for c in sorted(cells)]
+    total = math.prod(math.factorial(len(cell)) for cell in ordered_cells)
+    if total > perm_cap:
+        raise CapExceededError(
+            f"canonical form would scan {total} orderings (cap {perm_cap})"
+        )
+    best = None
+    position = [0] * (g.n + 1)
+
+    def assign(cell_idx):
+        nonlocal best
+        if cell_idx == len(ordered_cells):
+            cand = tuple(
+                sorted(
+                    (position[u], position[v])
+                    if position[u] < position[v]
+                    else (position[v], position[u])
+                    for u, v in g.edges
+                )
+            )
+            if best is None or cand < best:
+                best = cand
+            return
+        cell = ordered_cells[cell_idx]
+        start = 1 + sum(len(c) for c in ordered_cells[:cell_idx])
+        for perm in permutations(cell):
+            for offset, v in enumerate(perm):
+                position[v] = start + offset
+            assign(cell_idx + 1)
+
+    assign(0)
+    return best
+
+
+def iso_reduced_over_all_assignments(seq, connected_only=True):
+    """Reference isomorphism-reduced enumeration: walk every distinct degree
+    assignment and keep the first graph of each class by the reference
+    canonical form."""
+    seen = set()
+    out = []
+    for assignment in _distinct_assignments(seq.degrees):
+        for edges in _iter_edges(assignment, connected_only):
+            g = SimpleGraph(seq.n, [(u + 1, v + 1) for u, v in edges])
+            key = canonical_form_by_permutations(g)
+            if key not in seen:
+                seen.add(key)
+                out.append(g)
     return out

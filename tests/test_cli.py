@@ -212,6 +212,37 @@ def test_bicyclic_max_classifies_once(monkeypatch, capsys):
     assert calls == [13]
 
 
+def _main_in_process(argv, capsys):
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as exc:  # argparse rejects the command line
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def test_repeated_main_calls_match_fresh_interpreters(monkeypatch, capsys):
+    # the parser is built once per process; no parse may leak into the next
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage text to this
+    calls = [
+        ("construct", "4^5,1^8", "--format", "edges"),
+        ("construct", "4^5,1^8"),
+        ("validate", "4,4,3,3,2,1,1", "--pretty"),
+        ("validate", "4,4,3,3,2,1,1"),
+        ("construct", "4^5,1^8", "--format", "xml"),
+        ("validate", "x,y"),
+        ("validate", "4,4,3,3,2,1,1"),
+    ]
+    for argv in calls:
+        fresh = run_cli(*argv)
+        assert _main_in_process(argv, capsys) == (
+            fresh.returncode,
+            fresh.stdout,
+            fresh.stderr,
+        ), argv
+    assert cli.build_parser() is cli.build_parser()
+
+
 def test_majorize_with_chain():
     out = run_json("majorize", "3,3,2,2,2", "4,2,2,2,2", "--chain")
     assert out["result"]["order"] == "a_below_b"

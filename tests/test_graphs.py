@@ -22,7 +22,12 @@ from zagrebmax import (
     serialize_edge_list,
     to_dot,
 )
-from helpers import SEVEN_VERTEX_BETTER, SEVEN_VERTEX_GREEDY
+from helpers import (
+    SEVEN_VERTEX_BETTER,
+    SEVEN_VERTEX_GREEDY,
+    all_pairs,
+    canonical_form_by_permutations,
+)
 
 
 def cycle(n):
@@ -194,15 +199,39 @@ def test_to_dot_triangle():
 # --- canonical forms ------------------------------------------------------------
 
 
+# 3-regular on 10 vertices with two automorphisms: its search tree has 14
+# leaves and 7 distinct relabeled edge lists, so a form that did not take
+# the least of them would depend on the labeling
+CUBIC_TEN = SimpleGraph(
+    10,
+    [
+        (1, 2), (1, 3), (1, 4), (2, 4), (2, 6), (3, 7), (3, 10), (4, 9),
+        (5, 7), (5, 9), (5, 10), (6, 8), (6, 10), (7, 8), (8, 9),
+    ],
+)
+
+
 def test_canonical_form_invariant_under_relabeling():
     rng = random.Random(7)
-    g = SEVEN_VERTEX_BETTER
-    form = canonical_form(g)
-    labels = list(range(1, 8))
-    for _ in range(25):
-        rng.shuffle(labels)
-        permuted = relabel(g, {v: labels[v - 1] for v in range(1, 8)})
-        assert canonical_form(permuted) == form
+    for g in (SEVEN_VERTEX_BETTER, cycle(9), CUBIC_TEN):
+        form = canonical_form(g)
+        labels = list(range(1, g.n + 1))
+        for _ in range(25):
+            rng.shuffle(labels)
+            permuted = relabel(g, {v: labels[v - 1] for v in range(1, g.n + 1)})
+            assert canonical_form(permuted) == form
+
+
+def test_canonical_form_partitions_like_the_permutation_scan_up_to_n5():
+    # every labeled graph on n <= 5 vertices: two graphs share a form iff
+    # they share the reference form
+    for n in range(1, 6):
+        pairs = all_pairs(n)
+        keys = set()
+        for mask in range(1 << len(pairs)):
+            g = SimpleGraph(n, [e for bit, e in enumerate(pairs) if mask >> bit & 1])
+            keys.add((canonical_form(g), canonical_form_by_permutations(g)))
+        assert len({new for new, _ in keys}) == len({ref for _, ref in keys}) == len(keys)
 
 
 def test_canonical_form_separates_non_isomorphic():

@@ -29,6 +29,7 @@ from helpers import (
     SEVEN_VERTEX_BETTER,
     SEVEN_VERTEX_GREEDY,
     brute_force_buckets,
+    iso_reduced_over_all_assignments,
     valid_swaps,
 )
 from zagrebmax.sequences import connected_realizable_sequences
@@ -91,6 +92,31 @@ def test_enumeration_isomorphism_reduction():
     assert 1 < len(classes) < 54
     forms = {tuple(g.edges) for g in classes}
     assert len(forms) == len(classes)
+
+
+def test_isomorphism_reduction_matches_the_walk_over_all_assignments():
+    # same representatives in the same order as walking every assignment
+    for n in range(2, 7):
+        for c in range(-1, 4):
+            for seq in connected_realizable_sequences(n, c):
+                got = [g.edges for g in enumerate_realizations(seq, isomorphism_reduce=True)]
+                want = [g.edges for g in iso_reduced_over_all_assignments(seq)]
+                assert got == want, seq.degrees
+
+
+def test_isomorphism_classes_count_the_connected_graphs():
+    # connected graphs on n = 2..7 vertices up to isomorphism (OEIS A001349)
+    counts = []
+    for n in range(2, 8):
+        counts.append(
+            sum(
+                1
+                for c in range(-1, n * (n - 1) // 2 - n + 1)
+                for seq in connected_realizable_sequences(n, c)
+                for _ in enumerate_realizations(seq, isomorphism_reduce=True)
+            )
+        )
+    assert counts == [1, 2, 6, 21, 112, 853]
 
 
 def test_enumeration_guards():
