@@ -2,10 +2,11 @@
 
 The enumerator walks adjacency rows in label order: at the first vertex
 with unmet degree it chooses that vertex's remaining neighbors among the
-later vertices, pruning branches whose residual degrees fail the
-Erdos-Gallai test and, in connected mode, branches that seal off a
-component early.  This is exact: every labeled realization appears exactly
-once, in a deterministic order.
+later vertices, pruning, in connected mode, branches that seal off a
+component early.  A branch whose residual degrees no graph realizes yields
+nothing: each of its paths stops at a row with more unmet degree than
+candidates, if nothing cuts it sooner.  This is exact: every labeled
+realization appears exactly once, in a deterministic order.
 
 ``search_max_m2`` certifies the exact maximum of the index over all
 connected realizations by branch-and-bound over the same walk, skipping
@@ -27,12 +28,7 @@ from typing import Iterator, Optional, Sequence
 
 from .errors import CapExceededError, DomainError, ParseError
 from .graphs import SimpleGraph, canonical_form, is_connected
-from .sequences import (
-    DegreeSequence,
-    _erdos_gallai,
-    is_connected_realizable,
-    is_graphic,
-)
+from .sequences import DegreeSequence, is_connected_realizable, is_graphic
 
 DEFAULT_CAP = 10
 CAP_ENV_VAR = "ZAGREBMAX_ORACLE_CAP"
@@ -90,7 +86,9 @@ def _iter_edges(
 ) -> Iterator[tuple[tuple[int, int], ...]]:
     """Yield each labeled realization of d(v_i) = targets[i] (0-based) once,
     as a lexicographically sorted tuple of 0-based edges, in lexicographic
-    order.
+    order.  With ``connected_only`` a child is dropped as soon as the
+    component of its row vertex is finished short of all vertices; a child
+    whose residual degrees are not graphic is entered and yields nothing.
 
     With an ``incumbent`` the walk is a branch-and-bound for the largest
     index (``targets`` must be non-increasing): a child is entered only if
@@ -151,8 +149,6 @@ def _iter_edges(
             return
         need = res[i]
         cand = [j for j in range(i + 1, n) if res[j] > 0]
-        if need > len(cand):
-            return
         bit_i = 1 << i
         t_i = targets[i]
         placed = 0
@@ -164,8 +160,6 @@ def _iter_edges(
             if incumbent is not None:
                 placed = m2 + t_i * sum(targets[j] for j in combo)
                 good = placed + pairing(i + 1) > incumbent.m2
-            if good:
-                good = _erdos_gallai(sorted(res[i + 1 :], reverse=True))
             if good:
                 for j in combo:
                     adj[i] |= 1 << j
@@ -334,10 +328,10 @@ def hill_climb(g: SimpleGraph) -> tuple[SimpleGraph, list[EdgeSwap]]:
     if not is_connected(g):
         raise DomainError("hill climb requires a connected graph")
     applied: list[EdgeSwap] = []
+    deg = g.degrees()
     improved = True
     while improved:
         improved = False
-        deg = g.degrees()
         for (a, b), (c, e) in combinations(g.edges, 2):
             if a in (c, e) or b in (c, e):
                 continue

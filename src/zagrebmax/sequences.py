@@ -13,6 +13,7 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
+from itertools import accumulate
 from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import DomainError, ParseError
@@ -233,7 +234,7 @@ def check_optimality_conditions(seq: DegreeSequence) -> OptimalityConditions:
     n = seq.n
     excess = sum(d) // 2 - n
     holds_i = excess >= -1
-    holds_ii = d[1] >= excess + 2 if n >= 2 else False
+    holds_ii = d[1] >= excess + 2
     if excess <= 0:
         holds_iii = True
     elif n < excess + 3:
@@ -245,15 +246,6 @@ def check_optimality_conditions(seq: DegreeSequence) -> OptimalityConditions:
     return OptimalityConditions(excess, holds_i, holds_ii, holds_iii, holds_iv)
 
 
-def _prefix_sums(d: Sequence[int]) -> list[int]:
-    out = []
-    acc = 0
-    for x in d:
-        acc += x
-        out.append(acc)
-    return out
-
-
 def majorization_compare(a: Degreeish, b: Degreeish) -> MajorizationOrder:
     """Compare two sequences in the dominance (majorization) order."""
     da = _as_desc_list(a)
@@ -262,8 +254,8 @@ def majorization_compare(a: Degreeish, b: Degreeish) -> MajorizationOrder:
         return MajorizationOrder.INCOMPARABLE
     if da == db:
         return MajorizationOrder.EQUAL
-    pa = _prefix_sums(da)
-    pb = _prefix_sums(db)
+    pa = list(accumulate(da))
+    pb = list(accumulate(db))
     a_below = all(x <= y for x, y in zip(pa, pb))
     b_below = all(y <= x for x, y in zip(pa, pb))
     if a_below:
@@ -293,7 +285,7 @@ def majorization_chain(a: DegreeSequence, b: DegreeSequence) -> MajorizationChai
     cur = list(a.degrees)
     target = list(b.degrees)
     steps = [a]
-    guard = sum(abs(x - y) for x, y in zip(_prefix_sums(cur), _prefix_sums(target)))
+    guard = sum(abs(x - y) for x, y in zip(accumulate(cur), accumulate(target)))
     while cur != target:
         p = next(i for i in range(len(cur)) if cur[i] != target[i])
         q = next(j for j in range(p + 1, len(cur)) if cur[j] > target[j])

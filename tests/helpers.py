@@ -87,6 +87,42 @@ def brute_force_buckets(n):
     return buckets
 
 
+def brute_force_maxima(n):
+    """Scan all 2^C(n,2) labeled graphs on n vertices, independently of the
+    enumerator.
+
+    Keeps the connected graphs whose degree vector d(1), ..., d(n) is
+    non-increasing and returns {degree tuple: (largest M2, smallest maximal
+    edge tuple)}, edges 1-based and in lexicographic order.
+    """
+    pairs = all_pairs(n)
+    best = {}
+    for mask in range(1 << len(pairs)):
+        edges = tuple(e for bit, e in enumerate(pairs) if mask >> bit & 1)
+        deg = [0] * (n + 1)
+        for u, v in edges:
+            deg[u] += 1
+            deg[v] += 1
+        key = tuple(deg[1:])
+        if any(x < y for x, y in zip(key, key[1:])):
+            continue
+        seen = {1}
+        grew = True
+        while grew:
+            grew = False
+            for u, v in edges:
+                if (u in seen) != (v in seen):
+                    seen.update((u, v))
+                    grew = True
+        if len(seen) < n:
+            continue
+        m2 = sum(deg[u] * deg[v] for u, v in edges)
+        old = best.get(key)
+        if old is None or m2 > old[0] or (m2 == old[0] and edges < old[1]):
+            best[key] = (m2, edges)
+    return best
+
+
 def eg_quadratic(seq):
     """Reference Erdos-Gallai scan in O(n^2): re-sums d[:k] and min(k, d_j)
     for every k.  Same total-function contract as ``is_graphic``."""

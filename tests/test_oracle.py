@@ -2,6 +2,7 @@
 transformation moves, and hill climbing."""
 
 import random
+import sys
 from itertools import islice
 
 import pytest
@@ -29,6 +30,7 @@ from helpers import (
     SEVEN_VERTEX_BETTER,
     SEVEN_VERTEX_GREEDY,
     brute_force_buckets,
+    brute_force_maxima,
     iso_reduced_over_all_assignments,
     valid_swaps,
 )
@@ -154,15 +156,17 @@ def test_oracle_counterexample_result_and_single_validation(monkeypatch):
         calls.append(len(d))
         return original(d)
 
-    monkeypatch.setattr(sq, "_erdos_gallai", counting)
-    monkeypatch.setattr(orc, "_erdos_gallai", counting)
+    # patch every zagrebmax module that binds the check, not only its home
+    for name, module in list(sys.modules.items()):
+        bound = getattr(module, "_erdos_gallai", None)
+        if name.split(".")[0] == "zagrebmax" and bound is original:
+            monkeypatch.setattr(module, "_erdos_gallai", counting)
     seq = DegreeSequence.parse("4,4,3,3,2,1,1")
     res = search_max_m2(seq)
     assert res.max_m2 == 87
     assert res.witness == SEVEN_VERTEX_BETTER
-    # the search prunes on residual tails (length < n); the full
-    # sequence itself is checked once
-    assert calls.count(7) == 1 and len(calls) > 1
+    # the full sequence is checked once; the search runs no check of its own
+    assert calls == [7]
     assert labeled_count(seq) == 38
 
 
@@ -214,6 +218,27 @@ def test_branch_and_bound_matches_exhaustive_scan():
                 assert res.nodes > 0
                 checked += 1
     assert checked == 290
+
+
+def test_search_matches_brute_force_maxima_up_to_n6():
+    # a reference that shares no code with the walk: every labeled graph on
+    # n vertices, scored directly
+    checked = 0
+    for n in range(2, 7):
+        want = brute_force_maxima(n)
+        seqs = [
+            seq
+            for c in range(-1, n * (n - 1) // 2 - n + 1)
+            for seq in connected_realizable_sequences(n, c)
+        ]
+        assert {seq.degrees for seq in seqs} == set(want)
+        for seq in seqs:
+            res = search_max_m2(seq)
+            m2, edges = want[seq.degrees]
+            assert res.max_m2 == m2, seq.to_text()
+            assert res.witness.edges == edges, seq.to_text()
+            checked += 1
+    assert checked == 96
 
 
 # --- edge swaps -----------------------------------------------------------------

@@ -139,7 +139,8 @@ def test_is_graphic_matches_quadratic_reference(degs):
 @settings(max_examples=400)
 @given(_degree_lists(min_value=0))
 def test_linear_check_matches_reference_on_sorted_even_tails(degs):
-    # the oracle's residual tails: non-increasing, zeros allowed, even sum
+    # what is_graphic passes on from raw input: sorted non-increasing, zeros
+    # allowed, even sum
     d = sorted(degs, reverse=True)
     if sum(d) % 2:
         d[0] += 1
