@@ -52,7 +52,7 @@ def _read_graph(path: str) -> gr.SimpleGraph:
     try:
         with open(path, "r", encoding="ascii") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     return gr.parse_edge_list(text)
 

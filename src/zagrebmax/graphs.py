@@ -8,6 +8,7 @@ is the only graph file format.
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Iterable, Mapping
 
 from .errors import CapExceededError, DomainError, ParseError
@@ -107,16 +108,22 @@ def degree_sequence_of(g: SimpleGraph) -> DegreeSequence:
     return DegreeSequence(tuple(sorted(deg, reverse=True)))
 
 
-def is_connected(g: SimpleGraph) -> bool:
-    seen = {1}
-    stack = [1]
-    while stack:
-        v = stack.pop()
+def _bfs_layers(g: SimpleGraph, root: int) -> list[int]:
+    """Distance of each vertex from ``root`` (entry 0 unused, -1 if unreachable)."""
+    dist = [-1] * (g.n + 1)
+    dist[root] = 0
+    queue = deque([root])
+    while queue:
+        v = queue.popleft()
         for u in g.neighbors(v):
-            if u not in seen:
-                seen.add(u)
-                stack.append(u)
-    return len(seen) == g.n
+            if dist[u] < 0:
+                dist[u] = dist[v] + 1
+                queue.append(u)
+    return dist
+
+
+def is_connected(g: SimpleGraph) -> bool:
+    return -1 not in _bfs_layers(g, 1)[1:]
 
 
 def relabel(g: SimpleGraph, mapping: Mapping[int, int]) -> SimpleGraph:
@@ -205,8 +212,6 @@ def canonical_form(
     leaves is the form.  ``perm_cap`` bounds the search nodes entered;
     beyond it the search refuses.
     """
-    degs = g.degrees()
-    ranking = {d: i for i, d in enumerate(sorted(set(degs[1:]), reverse=True))}
     best: tuple[tuple[int, int], ...] | None = None
     nodes = 0
 
@@ -239,7 +244,7 @@ def canonical_form(
             split[v] = 2 * target
             search(_refine(g, split))
 
-    search(_refine(g, [0] + [ranking[d] for d in degs[1:]]))
+    search(_refine(g, [-d for d in g.degrees()]))
     assert best is not None
     return best
 

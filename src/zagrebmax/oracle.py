@@ -89,6 +89,10 @@ def _iter_edges(
     order.  With ``connected_only`` a child is dropped as soon as the
     component of its row vertex is finished short of all vertices; a child
     whose residual degrees are not graphic is entered and yields nothing.
+    A leaf needs no connectivity test of its own.  The targets are positive,
+    so a leaf is reached through a placement, and that placement leaves no
+    vertex with unmet degree: the prune has already dropped it unless the
+    component of its row vertex is every vertex.
 
     With an ``incumbent`` the walk is a branch-and-bound for the largest
     index (``targets`` must be non-increasing): a child is entered only if
@@ -141,8 +145,6 @@ def _iter_edges(
         while i < n and res[i] == 0:
             i += 1
         if i == n:
-            if connected_only and component(0) != full:
-                return
             if incumbent is not None:
                 incumbent.m2 = m2
             yield tuple(edges)
@@ -188,25 +190,21 @@ def _iter_edges(
 
 
 def _distinct_assignments(degrees: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    """Distinct permutations of the degree multiset, descending lex order."""
-    values = sorted(set(degrees), reverse=True)
-    counts = {v: degrees.count(v) for v in values}
-    n = len(degrees)
-    acc: list[int] = []
-
-    def rec() -> Iterator[tuple[int, ...]]:
-        if len(acc) == n:
-            yield tuple(acc)
+    """Distinct permutations of the degree multiset, descending lex order:
+    the standard previous-permutation step, from the non-increasing order."""
+    a = sorted(degrees, reverse=True)
+    while True:
+        yield tuple(a)
+        i = len(a) - 2
+        while i >= 0 and a[i] <= a[i + 1]:
+            i -= 1
+        if i < 0:
             return
-        for v in values:
-            if counts[v] > 0:
-                counts[v] -= 1
-                acc.append(v)
-                yield from rec()
-                acc.pop()
-                counts[v] += 1
-
-    yield from rec()
+        j = len(a) - 1
+        while a[j] >= a[i]:
+            j -= 1
+        a[i], a[j] = a[j], a[i]
+        a[i + 1 :] = reversed(a[i + 1 :])
 
 
 def enumerate_realizations(
@@ -283,21 +281,29 @@ def apply_edge_swap(g: SimpleGraph, move: EdgeSwap) -> SimpleGraph:
     The index changes by exactly (d(v1)-d(u2)) * (d(v2)-d(u1)), so it cannot
     decrease when d(v1) >= d(u2) and d(v2) >= d(u1), strictly increasing iff
     both inequalities are strict.
+
+    Raises ``DomainError`` unless the four endpoints are distinct, v1-u1 and
+    v2-u2 are edges, and v1-v2 and u1-u2 are not.  The edge tests are those
+    of ``SimpleGraph.replace_edges``, whose message names the offending edge
+    (``cannot remove absent edge (1,3)``).
     """
     v1, u1, v2, u2 = move.v1, move.u1, move.v2, move.u2
     vertices = {v1, u1, v2, u2}
     if len(vertices) != 4:
         raise DomainError(f"swap endpoints must be four distinct vertices: {move}")
-    if not (g.has_edge(v1, u1) and g.has_edge(v2, u2)):
-        raise DomainError(f"swap requires edges ({v1},{u1}) and ({v2},{u2}) present")
-    if g.has_edge(v1, v2) or g.has_edge(u1, u2):
-        raise DomainError(f"swap requires ({v1},{v2}) and ({u1},{u2}) absent")
     return g.replace_edges(remove=[(v1, u1), (v2, u2)], add=[(v1, v2), (u1, u2)])
 
 
 def apply_neighbor_transfer(g: SimpleGraph, move: NeighborTransfer) -> SimpleGraph:
     """Re-attach the listed neighbors of v to u; degrees change only at u
-    (+k) and v (-k).  The empty transfer returns the graph unchanged."""
+    (+k) and v (-k).  The empty transfer returns the graph unchanged.
+
+    Raises ``DomainError`` unless u and v are distinct vertices of g and the
+    moved vertices are distinct, differ from u and v, are neighbors of v and
+    are not neighbors of u.  The last two tests are those of
+    ``SimpleGraph.replace_edges``, whose message names the offending edge
+    (``cannot remove absent edge (3,5)``); a moved vertex outside 1..n is
+    never a neighbor of v and fails there too."""
     u, v, moved = move.u, move.v, move.moved
     if u == v or not (1 <= u <= g.n and 1 <= v <= g.n):
         raise DomainError(f"transfer needs two distinct vertices, got ({u},{v})")
@@ -306,10 +312,6 @@ def apply_neighbor_transfer(g: SimpleGraph, move: NeighborTransfer) -> SimpleGra
     for w in moved:
         if w == u or w == v:
             raise DomainError(f"cannot transfer endpoint {w}")
-        if not g.has_edge(v, w):
-            raise DomainError(f"vertex {w} is not a neighbor of {v}")
-        if g.has_edge(u, w):
-            raise DomainError(f"vertex {w} is already a neighbor of {u}")
     if not moved:
         return g
     return g.replace_edges(

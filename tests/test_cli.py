@@ -118,6 +118,18 @@ def test_m2_parse_error(tmp_path):
     assert run_cli("m2", str(tmp_path / "missing")).returncode == 2
 
 
+@pytest.mark.parametrize("command", ["m2", "improve"])
+def test_non_ascii_graph_file_is_a_parse_error(command, tmp_path):
+    path = tmp_path / "latin.edges"
+    path.write_bytes(b"3 2\n1 2\n2 3 \xc3\n")
+    proc = run_cli(command, str(path))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1
+    assert str(path) in json.loads(lines[0])["error"]
+
+
 def test_improve_reports_the_blocked_climb(tmp_path):
     # the greedy 7-vertex graph has no connectivity-preserving improving swap
     path = tmp_path / "greedy.edges"

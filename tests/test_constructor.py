@@ -121,7 +121,7 @@ def test_construction_contract_over_small_sweep():
     # each one the construction accepts, (iii) warning or not, yields a
     # simple connected layered realization; every other one is rejected
     # with a DomainError.
-    from zagrebmax.constructor import _bfs_layers
+    from zagrebmax.graphs import _bfs_layers
 
     built = 0
     for n in range(2, 10):

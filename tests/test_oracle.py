@@ -3,7 +3,7 @@ transformation moves, and hill climbing."""
 
 import random
 import sys
-from itertools import islice
+from itertools import combinations_with_replacement, islice, permutations
 
 import pytest
 
@@ -104,6 +104,14 @@ def test_isomorphism_reduction_matches_the_walk_over_all_assignments():
                 got = [g.edges for g in enumerate_realizations(seq, isomorphism_reduce=True)]
                 want = [g.edges for g in iso_reduced_over_all_assignments(seq)]
                 assert got == want, seq.degrees
+
+
+def test_distinct_assignments_match_the_permutation_set():
+    # every degree multiset with n = 1..7 and degrees in 1..n-1
+    for n in range(1, 8):
+        for degrees in combinations_with_replacement(range(n - 1, 0, -1), n):
+            want = sorted(set(permutations(degrees)), reverse=True)
+            assert list(orc._distinct_assignments(degrees)) == want, degrees
 
 
 def test_isomorphism_classes_count_the_connected_graphs():
@@ -280,7 +288,11 @@ def test_swap_validation():
     with pytest.raises(DomainError):
         apply_edge_swap(g, EdgeSwap(1, 3, 4, 5))  # (1,3) absent
     with pytest.raises(DomainError):
+        apply_edge_swap(g, EdgeSwap(1, 2, 4, 6))  # (4,6) absent
+    with pytest.raises(DomainError):
         apply_edge_swap(g, EdgeSwap(2, 1, 3, 4))  # adds present (2,3)
+    with pytest.raises(DomainError):
+        apply_edge_swap(g, EdgeSwap(1, 2, 4, 3))  # adds present (2,3) as (u1,u2)
 
 
 # --- neighbor transfers -----------------------------------------------------------
@@ -321,6 +333,13 @@ def test_transfer_validation():
         apply_neighbor_transfer(g, NeighborTransfer(1, 3, (2,)))  # 2 already nbr of 1
     with pytest.raises(DomainError):
         apply_neighbor_transfer(g, NeighborTransfer(1, 3, (4, 4)))  # duplicate
+    with pytest.raises(DomainError):
+        apply_neighbor_transfer(g, NeighborTransfer(1, 3, (1,)))  # w == u
+    with pytest.raises(DomainError):
+        apply_neighbor_transfer(g, NeighborTransfer(1, 3, (3,)))  # w == v
+    for w in (0, 7):
+        with pytest.raises(DomainError):
+            apply_neighbor_transfer(g, NeighborTransfer(1, 3, (w,)))  # out of range
 
 
 # --- hill climbing ------------------------------------------------------------------
