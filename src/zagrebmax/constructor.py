@@ -51,10 +51,11 @@ class BfsOrderingReport:
 def construct_extremal(seq: DegreeSequence) -> ConstructionTrace:
     """Build the layered candidate-extremal graph for ``seq``.
 
-    Requires connected realizability plus conditions (i), (ii) and (iv) of
-    the admissibility report; a violated condition (iii) is tolerated with
-    a warning because the construction is still well-defined there, only
-    its extremality guarantee is lost.
+    Builds exactly the connected-realizable sequences that meet conditions
+    (ii) and (iv) and, when c >= 0, have d_{c+3} >= 2 (no apex vertex is a
+    leaf); any other sequence raises before an edge is placed.  A violated
+    condition (iii) is tolerated with a warning: the construction is still
+    well-defined there, only its extremality guarantee is lost.
     """
     if not is_connected_realizable(seq):
         raise DomainError(f"({seq.to_text()}) has no connected realization")
@@ -69,12 +70,21 @@ def construct_extremal(seq: DegreeSequence) -> ConstructionTrace:
     warnings: tuple[str, ...] = ()
     if not report.holds_iii:
         warnings = ("condition (iii) violated; optimality not guaranteed",)
-
-    # A connected realization has c >= -1, so (i) holds, and d1 <= n-1 with
-    # (ii) gives c+3 <= d1+1 <= n: the apex triangles fit in the first layer.
-    # Every other edge goes to a fresh vertex, so no edge is placed twice.
     d = seq.degrees
     n = seq.n
+    # (ii) and d1 <= n-1 give c+3 <= n, so the apex vertices v3..v_{c+3} exist.
+    if c >= 0 and d[c + 2] == 1:
+        raise ConstructionError(
+            "degree budget exceeds the vertex supply; aborting instead of "
+            "emitting a disconnected graph"
+        )
+
+    # Before its turn, v >= 2 holds its parent edge and its apex edges (c+1
+    # at v2, one at v3..v_{c+3}), so it takes d_v - placed_v fresh children:
+    # >= 0 by (ii) and the test above, n-1 in all (2(n+c) - (n-1) - 2(c+1)).
+    # Each vertex is attached before its turn; else v1..v_{i-1} would be a
+    # component of degree sum 2(i-1+c), the rest would average degree 2 with
+    # a leaf, so d_i >= 3, and (ii) with i > d1+1 >= c+3 makes that sum larger.
     deg = [0] * (n + 1)
     edges: list[tuple[int, int]] = []
 
@@ -83,42 +93,16 @@ def construct_extremal(seq: DegreeSequence) -> ConstructionTrace:
         deg[u] += 1
         deg[v] += 1
 
-    layer: list[int] = [-1] * (n + 1)
-    layer[1] = 0
-    first_layer_end = d[0] + 1
-    for j in range(2, first_layer_end + 1):
-        add_edge(1, j)
-        layer[j] = 1
     triangles = tuple((1, 2, j) for j in range(3, c + 4))
     for j in range(3, c + 4):
         add_edge(2, j)
-
-    next_child = first_layer_end + 1
+    layer = [0] * (n + 1)
+    next_child = 2
     for i in range(1, n + 1):
-        if layer[i] < 0:
-            raise ConstructionError(
-                f"degree budget ran out before vertex {i} was attached; "
-                "the sequence admits no such layered graph"
-            )
-        have = deg[i]
-        want = d[i - 1]
-        if have > want:
-            raise ConstructionError(
-                f"vertex {i} needs degree {want} but the layout forces {have}"
-            )
-        for _ in range(want - have):
-            if next_child > n:
-                raise ConstructionError(
-                    "degree budget exceeds the vertex supply; aborting instead of "
-                    "emitting a disconnected graph"
-                )
+        for _ in range(d[i - 1] - deg[i]):
             add_edge(i, next_child)
             layer[next_child] = layer[i] + 1
             next_child += 1
-    if next_child != n + 1:
-        raise ConstructionError(
-            f"{n + 1 - next_child} vertices left unplaced; the result would be disconnected"
-        )
 
     return ConstructionTrace(
         graph=SimpleGraph(n, edges),

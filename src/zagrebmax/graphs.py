@@ -12,7 +12,7 @@ from collections import deque
 from typing import Iterable, Mapping
 
 from .errors import CapExceededError, DomainError, ParseError
-from .sequences import DegreeSequence
+from .sequences import DegreeSequence, _as_int
 
 
 class SimpleGraph:
@@ -25,6 +25,8 @@ class SimpleGraph:
             raise DomainError("graph needs at least one vertex")
         seen: set[tuple[int, int]] = set()
         for u, v in edges:
+            if type(u) is not int or type(v) is not int:
+                u, v = _as_int(u, "vertex"), _as_int(v, "vertex")
             if not (1 <= u <= n and 1 <= v <= n):
                 raise DomainError(f"edge ({u},{v}) out of range 1..{n}")
             if u == v:
@@ -46,20 +48,27 @@ class SimpleGraph:
     def m(self) -> int:
         return len(self.edges)
 
+    def _vertex(self, v: int) -> int:
+        v = _as_int(v, "vertex")
+        if not 1 <= v <= self.n:
+            raise DomainError(f"vertex {v} out of range 1..{self.n}")
+        return v
+
     def neighbors(self, v: int) -> tuple[int, ...]:
-        return self._adj[v]
+        return self._adj[self._vertex(v)]
 
     def degree(self, v: int) -> int:
-        return len(self._adj[v])
+        return len(self._adj[self._vertex(v)])
 
     def degrees(self) -> list[int]:
         """Degree of each vertex, indexed by label (entry 0 unused)."""
         return [0] + [len(self._adj[v]) for v in range(1, self.n + 1)]
 
     def has_edge(self, u: int, v: int) -> bool:
-        e = (u, v) if u < v else (v, u)
-        lo = self._adj[e[0]]
-        return e[1] in lo
+        # the hill climb calls this in its inner loop: check plain ints inline
+        if not (type(u) is int and type(v) is int and 0 < u <= self.n and 0 < v <= self.n):
+            u, v = self._vertex(u), self._vertex(v)
+        return v in self._adj[u]
 
     def replace_edges(
         self,
@@ -115,7 +124,7 @@ def _bfs_layers(g: SimpleGraph, root: int) -> list[int]:
     queue = deque([root])
     while queue:
         v = queue.popleft()
-        for u in g.neighbors(v):
+        for u in g._adj[v]:
             if dist[u] < 0:
                 dist[u] = dist[v] + 1
                 queue.append(u)

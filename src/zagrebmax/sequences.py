@@ -9,7 +9,7 @@ rejected.
 
 from __future__ import annotations
 
-import re
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -23,7 +23,13 @@ KIND_UNICYCLIC = "unicyclic"
 KIND_BICYCLIC = "bicyclic"
 KIND_MULTICYCLIC = "multicyclic"
 
-_TOKEN_RE = re.compile(r"^(\d+)(?:\^(\d+))?$")
+
+def _as_int(value, what: str) -> int:
+    """``value`` as an int; a float or a string is an error, not truncated."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DomainError(f"{what} {value!r} is not an integer") from None
 
 
 @dataclass(frozen=True)
@@ -34,7 +40,7 @@ class DegreeSequence:
     resorted: bool = field(default=False, compare=False)
 
     def __post_init__(self):
-        degs = tuple(int(d) for d in self.degrees)
+        degs = tuple(_as_int(d, "degree") for d in self.degrees)
         if not degs:
             raise DomainError("degree sequence must be non-empty")
         canonical = tuple(sorted(degs, reverse=True))
@@ -72,14 +78,14 @@ class DegreeSequence:
         degs: list[int] = []
         for raw in text.split(","):
             token = raw.strip()
-            m = _TOKEN_RE.match(token)
-            if not m:
+            value, caret, repeat = token.partition("^")
+            if not value.isdecimal() or (caret and not repeat.isdecimal()):
                 raise ParseError(f"bad degree token {token!r}")
-            value = int(m.group(1))
-            count = int(m.group(2)) if m.group(2) else 1
+            degree = int(value)
+            count = int(repeat) if caret else 1
             if count < 1:
                 raise ParseError(f"bad repeat count in {token!r}")
-            degs.extend([value] * count)
+            degs.extend([degree] * count)
         return cls(tuple(degs))
 
     def to_text(self) -> str:
@@ -141,7 +147,7 @@ Degreeish = Union[DegreeSequence, Sequence[int], Iterable[int]]
 def _as_desc_list(seq: Degreeish) -> list[int]:
     if isinstance(seq, DegreeSequence):
         return list(seq.degrees)
-    return sorted((int(d) for d in seq), reverse=True)
+    return sorted((_as_int(d, "degree") for d in seq), reverse=True)
 
 
 def _erdos_gallai(d: Sequence[int]) -> bool:

@@ -116,21 +116,37 @@ def _admissible(n, excesses=(-1, 0, 1, 2)):
                 yield seq
 
 
+BUDGET_MESSAGE = (
+    "degree budget exceeds the vertex supply; aborting instead of emitting a "
+    "disconnected graph"
+)
+
+
 def test_construction_contract_over_small_sweep():
-    # Every connected-realizable sequence with n <= 9 and c in {-1, ..., 3}:
-    # each one the construction accepts, (iii) warning or not, yields a
-    # simple connected layered realization; every other one is rejected
-    # with a DomainError.
+    # Every connected-realizable sequence with n <= 11 and c in {-1, ..., 5}
+    # is rejected in exactly one of two ways or built: DomainError when (ii)
+    # or (iv) fails; ConstructionError with the budget message exactly when
+    # c >= 0 and an apex vertex v3..v_{c+3} is a leaf (d_{c+3} = 1);
+    # otherwise, (iii) warning or not, a simple connected layered realization.
     from zagrebmax.graphs import _bfs_layers
 
-    built = 0
-    for n in range(2, 10):
-        for c in range(-1, 4):
+    built = budget = 0
+    for n in range(2, 12):
+        for c in range(-1, 6):
             for seq in connected_realizable_sequences(n, c):
-                try:
-                    trace = construct_extremal(seq)
-                except DomainError:
+                rep = check_optimality_conditions(seq)
+                if not (rep.holds_ii and rep.holds_iv):
+                    with pytest.raises(DomainError) as info:
+                        construct_extremal(seq)
+                    assert type(info.value) is DomainError, seq.to_text()
                     continue
+                if c >= 0 and seq.degrees[c + 2] == 1:
+                    with pytest.raises(ConstructionError) as info:
+                        construct_extremal(seq)
+                    assert str(info.value) == BUDGET_MESSAGE, seq.to_text()
+                    budget += 1
+                    continue
+                trace = construct_extremal(seq)
                 built += 1
                 g = trace.graph
                 assert degree_sequence_of(g).degrees == seq.degrees
@@ -142,9 +158,8 @@ def test_construction_contract_over_small_sweep():
                 assert trace.triangles == tuple((1, 2, j) for j in range(3, c + 4))
                 for a, b, d in trace.triangles:
                     assert g.has_edge(a, b) and g.has_edge(b, d) and g.has_edge(a, d)
-                holds_iii = check_optimality_conditions(seq).holds_iii
-                assert bool(trace.warnings) == (not holds_iii)
-    assert built == 252
+                assert bool(trace.warnings) == (not rep.holds_iii)
+    assert (built, budget) == (797, 130)
 
 
 def test_excess_three_generalizes():

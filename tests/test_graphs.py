@@ -62,12 +62,27 @@ def test_neighbors_ascending_whatever_the_edge_order():
 
 @pytest.mark.parametrize(
     "n,edges",
-    [(3, [(1, 1)]), (3, [(1, 2), (2, 1)]), (3, [(1, 4)]), (0, [])],
-    ids=["loop", "duplicate", "range", "empty"],
+    [(3, [(1, 1)]), (3, [(1, 2), (2, 1)]), (3, [(1, 4)]), (0, []), (3, [(1.0, 2)])],
+    ids=["loop", "duplicate", "range", "empty", "non-integer"],
 )
 def test_construction_rejections(n, edges):
     with pytest.raises(DomainError):
         SimpleGraph(n, edges)
+
+
+def test_queries_reject_labels_outside_the_graph():
+    # a negative label must not wrap round to the end of the adjacency
+    # tuple (vertex 3 here), nor a label above n raise IndexError
+    g = SimpleGraph(3, [(2, 3)])
+    for query in (
+        lambda: g.has_edge(-1, 2),
+        lambda: g.neighbors(-1),
+        lambda: g.has_edge(4, 5),
+        lambda: g.degree(0),
+        lambda: g.has_edge(1.0, 2),
+    ):
+        with pytest.raises(DomainError):
+            query()
 
 
 def test_replace_edges_validates():

@@ -46,6 +46,50 @@ def test_parse_failures(text):
         DegreeSequence.parse(text)
 
 
+@pytest.mark.parametrize(
+    "text,expected",
+    [
+        ("٣,٣,١,١", (3, 3, 1, 1)),  # Arabic-Indic digits are decimal
+        ("2^٣", (2, 2, 2)),
+        (" 2 ,1, 1 ", (2, 1, 1)),
+        ("²,1,1", None),  # superscript two is a digit but not decimal
+        ("4^0", None),
+        ("4^", None),
+        ("^4", None),
+        ("4^5^6", None),
+        ("+4", None),
+        ("4_0", None),
+        ("4 ^5", None),
+    ],
+)
+def test_parse_token_grammar(text, expected):
+    if expected is None:
+        with pytest.raises(ParseError):
+            DegreeSequence.parse(text)
+    else:
+        assert DegreeSequence.parse(text).degrees == expected
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: DegreeSequence((1.9, 1.9)),
+        lambda: DegreeSequence(("2", "1", "1")),
+        lambda: is_graphic([1.5, 1.5]),
+    ],
+    ids=["float", "str", "is_graphic-float"],
+)
+def test_non_integer_degrees_are_rejected_not_truncated(call):
+    with pytest.raises(DomainError, match="is not an integer"):
+        call()
+
+
+def test_numpy_integer_degrees_are_accepted():
+    seq = DegreeSequence(np.array([1, 2, 1]))
+    assert seq.degrees == (2, 1, 1) and all(type(d) is int for d in seq.degrees)
+    assert is_graphic(np.array([1, 1], dtype=np.int32))
+
+
 def test_unsorted_input_is_sorted_with_flag():
     seq = DegreeSequence((1, 2, 2, 1))
     assert seq.degrees == (2, 2, 1, 1)
