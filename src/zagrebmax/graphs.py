@@ -21,6 +21,8 @@ class SimpleGraph:
     __slots__ = ("n", "edges", "_adj")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
+        if type(n) is not int:
+            n = _as_int(n, "vertex count")
         if n < 1:
             raise DomainError("graph needs at least one vertex")
         seen: set[tuple[int, int]] = set()

@@ -16,6 +16,22 @@ canonical degree assignment d(v_i) = d_i.  It finds the maximum without
 counting realizations; ``enumerate_realizations`` streams every labeled
 graph whose sorted degree multiset equals the sequence, across all
 assignments (only the canonical one when reducing up to isomorphism).
+
+The search and the isomorphism-reduced enumeration also skip interchangeable
+vertices (the vertex-transposition case of orderly generation: Read, 1978;
+McKay, 1998).  At row i, before i's neighbors are chosen, two later
+candidates j < k are twins when they have the same residual degree and the
+same adjacency so far; their target degrees then agree too.  Neither has an
+edge to a row >= i yet, so the transposition (j k) fixes every placed edge,
+the degree assignment, connectivity and the index.  A completion that takes
+k without j therefore has an isomorphic copy with the same index whose
+edge list is lexicographically smaller, and the walk takes from each twin
+class only a prefix.  The lexicographically smallest graph of every
+isomorphism class never breaks this rule, so it is still walked, in the
+same order: the branch-and-bound still ends at the lexicographically
+smallest maximum, and the reduced enumeration still yields the first
+labeled representative of each class.  Plain enumeration counts labeled
+graphs and walks every one.
 """
 
 from __future__ import annotations
@@ -79,10 +95,39 @@ class _Incumbent:
     nodes: int = 0
 
 
+def _twin_combinations(
+    cand: list[int], need: int, pred: list[int]
+) -> Iterator[tuple[int, ...]]:
+    """The ``need``-subsets of ``cand`` that take from each twin class only a
+    prefix, in lexicographic order.  ``pred[p]`` is the position in ``cand``
+    of the previous member of p's class, or -1: p may be taken only when
+    that member was.  Choosing the next position r skips every position
+    before it, so a skipped member closes its class."""
+    m = len(cand)
+    taken = [False] * m
+    chosen: list[int] = []
+
+    def pick(p: int, k: int) -> Iterator[tuple[int, ...]]:
+        for r in range(p, m - k + 1):
+            q = pred[r]
+            if q < 0 or taken[q]:
+                taken[r] = True
+                chosen.append(cand[r])
+                if k == 1:
+                    yield tuple(chosen)
+                else:
+                    yield from pick(r + 1, k - 1)
+                chosen.pop()
+                taken[r] = False
+
+    return pick(0, need)
+
+
 def _iter_edges(
     targets: Sequence[int],
     connected_only: bool,
     incumbent: Optional[_Incumbent] = None,
+    twins: bool = False,
 ) -> Iterator[tuple[tuple[int, int], ...]]:
     """Yield each labeled realization of d(v_i) = targets[i] (0-based) once,
     as a lexicographically sorted tuple of 0-based edges, in lexicographic
@@ -102,6 +147,17 @@ def _iter_edges(
     w0*w1 + w2*w3 + ...; by the rearrangement inequality no completion does
     better.  Each leaf yielded then beats every earlier one, so the last is
     the lexicographically smallest maximum.
+
+    With ``twins`` the walk skips interchangeable vertices.  At row i the
+    candidates j < k are twins when ``res[j] == res[k]`` and
+    ``adj[j] == adj[k]`` (target = residual + placed degree, so the targets
+    agree), and a combination may take k only if it also takes j.  The
+    transposition (j k) fixes every edge placed so far, so a graph that
+    takes k without j has a lexicographically smaller isomorphic copy with
+    the same index on this walk.  The lexicographically smallest graph of
+    each isomorphism class is therefore still yielded, in the same order,
+    and so is the lexicographically smallest maximum; the other labeled
+    graphs are not, so counting needs ``twins`` off.
     """
     n = len(targets)
     full = (1 << n) - 1
@@ -154,7 +210,17 @@ def _iter_edges(
         bit_i = 1 << i
         t_i = targets[i]
         placed = 0
-        for combo in combinations(cand, need):
+        if twins:
+            last: dict[tuple[int, int], int] = {}
+            pred = []
+            for p, j in enumerate(cand):
+                key = (res[j], adj[j])
+                pred.append(last.get(key, -1))
+                last[key] = p
+            combos = _twin_combinations(cand, need, pred)
+        else:
+            combos = combinations(cand, need)
+        for combo in combos:
             res[i] = 0
             for j in combo:
                 res[j] -= 1
@@ -220,8 +286,9 @@ def enumerate_realizations(
     With ``isomorphism_reduce`` only the first representative of each
     isomorphism class is yielded.  Every class has a labeling with
     d(v_i) = d_i, the first assignment walked, so only that assignment is
-    walked and each of its graphs is canonicalized; the later assignments
-    would yield only repeats."""
+    walked, with twin pruning (see ``_iter_edges``), and each graph it
+    yields is canonicalized; the later assignments would yield only
+    repeats."""
     cap = default_cap() if cap is None else cap
     if seq.n > cap:
         raise CapExceededError(f"n = {seq.n} exceeds the enumeration cap {cap}")
@@ -232,7 +299,8 @@ def enumerate_realizations(
         [seq.degrees] if isomorphism_reduce else _distinct_assignments(seq.degrees)
     )
     for assignment in assignments:
-        for edges in _iter_edges(assignment, connected_only):
+        walk = _iter_edges(assignment, connected_only, twins=isomorphism_reduce)
+        for edges in walk:
             g = SimpleGraph(seq.n, [(u + 1, v + 1) for u, v in edges])
             if isomorphism_reduce:
                 key = canonical_form(g)
@@ -247,8 +315,9 @@ def search_max_m2(seq: DegreeSequence, cap: Optional[int] = None) -> OracleResul
     realizations, with one witness graph: the lexicographically smallest
     maximal edge list.
 
-    A depth-first branch-and-bound over the rows that the enumerator walks;
-    ``nodes`` in the result counts the search nodes it entered.
+    A depth-first branch-and-bound over the rows that the enumerator walks,
+    with twin pruning; ``nodes`` in the result counts the search nodes it
+    entered.
     """
     cap = default_cap() if cap is None else cap
     if seq.n > cap:
@@ -260,7 +329,7 @@ def search_max_m2(seq: DegreeSequence, cap: Optional[int] = None) -> OracleResul
     start = time.perf_counter()
     incumbent = _Incumbent()
     best_edges: Optional[tuple[tuple[int, int], ...]] = None
-    for best_edges in _iter_edges(seq.degrees, True, incumbent):
+    for best_edges in _iter_edges(seq.degrees, True, incumbent, twins=True):
         pass
     if best_edges is None:
         raise DomainError(

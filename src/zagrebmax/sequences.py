@@ -81,11 +81,16 @@ class DegreeSequence:
             value, caret, repeat = token.partition("^")
             if not value.isdecimal() or (caret and not repeat.isdecimal()):
                 raise ParseError(f"bad degree token {token!r}")
-            degree = int(value)
-            count = int(repeat) if caret else 1
+            try:
+                degree = int(value)
+                count = int(repeat) if caret else 1
+                run = [degree] * count
+            except (ValueError, OverflowError):
+                # CPython's digit limit on int(), or a count past sys.maxsize
+                raise ParseError(f"degree token {token!r} is too large") from None
             if count < 1:
                 raise ParseError(f"bad repeat count in {token!r}")
-            degs.extend([degree] * count)
+            degs.extend(run)
         return cls(tuple(degs))
 
     def to_text(self) -> str:

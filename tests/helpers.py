@@ -14,11 +14,12 @@ from zagrebmax import (
     CapExceededError,
     DegreeSequence,
     SimpleGraph,
+    canonical_form,
     is_graphic,
     majorization_compare,
     MajorizationOrder,
 )
-from zagrebmax.oracle import _distinct_assignments, _iter_edges
+from zagrebmax.oracle import _distinct_assignments, _Incumbent, _iter_edges
 
 SEVEN_VERTEX_GREEDY = SimpleGraph(
     7, [(1, 2), (1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (2, 5), (3, 6), (4, 7)]
@@ -258,4 +259,30 @@ def iso_reduced_over_all_assignments(seq, connected_only=True):
             if key not in seen:
                 seen.add(key)
                 out.append(g)
+    return out
+
+
+def search_unpruned(seq):
+    """Reference branch-and-bound: the same walk and bound as
+    ``search_max_m2`` without twin pruning.  Returns (largest M2, smallest
+    maximal edge tuple with 1-based labels, nodes entered)."""
+    incumbent = _Incumbent()
+    best = None
+    for best in _iter_edges(seq.degrees, True, incumbent):
+        pass
+    return incumbent.m2, tuple((u + 1, v + 1) for u, v in best), incumbent.nodes
+
+
+def iso_reduced_unpruned(seq, connected_only=True):
+    """Reference isomorphism-reduced enumeration: the canonical assignment
+    walked without twin pruning, keeping the first graph of each canonical
+    form.  Returns the edge tuples in walk order."""
+    seen = set()
+    out = []
+    for edges in _iter_edges(seq.degrees, connected_only):
+        g = SimpleGraph(seq.n, [(u + 1, v + 1) for u, v in edges])
+        key = canonical_form(g)
+        if key not in seen:
+            seen.add(key)
+            out.append(g.edges)
     return out

@@ -61,6 +61,17 @@ def test_exit_codes():
     assert run_cli("oracle", "2^12").returncode == 3
 
 
+@pytest.mark.parametrize(
+    "token",
+    ["9" * 5000, "3^99999999999999999999"],
+    ids=["past-the-int-digit-limit", "repeat-past-maxsize"],
+)
+def test_huge_degree_tokens_are_parse_errors(token):
+    proc = run_cli("validate", token)
+    assert proc.returncode == 2
+    assert json.loads(proc.stderr)["error"] == f"degree token {token!r} is too large"
+
+
 # --- construct ------------------------------------------------------------------
 
 

@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from zagrebmax import (
@@ -62,12 +63,29 @@ def test_neighbors_ascending_whatever_the_edge_order():
 
 @pytest.mark.parametrize(
     "n,edges",
-    [(3, [(1, 1)]), (3, [(1, 2), (2, 1)]), (3, [(1, 4)]), (0, []), (3, [(1.0, 2)])],
-    ids=["loop", "duplicate", "range", "empty", "non-integer"],
+    [
+        (3, [(1, 1)]),
+        (3, [(1, 2), (2, 1)]),
+        (3, [(1, 4)]),
+        (0, []),
+        (3, [(1.0, 2)]),
+        (2.5, [(1, 2)]),
+        ("3", [(1, 2)]),
+    ],
+    ids=["loop", "duplicate", "range", "empty", "non-integer", "float-n", "str-n"],
 )
 def test_construction_rejections(n, edges):
     with pytest.raises(DomainError):
         SimpleGraph(n, edges)
+
+
+def test_vertex_count_is_converted_to_int():
+    # a bool is an int subclass: True counts one vertex, and the range
+    # message says so
+    with pytest.raises(DomainError, match=r"out of range 1\.\.1$"):
+        SimpleGraph(True, [(1, 2)])
+    g = SimpleGraph(np.int64(3), [(1, 2)])
+    assert type(g.n) is int and g.n == 3
 
 
 def test_queries_reject_labels_outside_the_graph():

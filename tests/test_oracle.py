@@ -3,7 +3,7 @@ transformation moves, and hill climbing."""
 
 import random
 import sys
-from itertools import combinations_with_replacement, islice, permutations
+from itertools import combinations, combinations_with_replacement, islice, permutations
 
 import pytest
 
@@ -32,6 +32,8 @@ from helpers import (
     brute_force_buckets,
     brute_force_maxima,
     iso_reduced_over_all_assignments,
+    iso_reduced_unpruned,
+    search_unpruned,
     valid_swaps,
 )
 from zagrebmax.sequences import connected_realizable_sequences
@@ -104,6 +106,53 @@ def test_isomorphism_reduction_matches_the_walk_over_all_assignments():
                 got = [g.edges for g in enumerate_realizations(seq, isomorphism_reduce=True)]
                 want = [g.edges for g in iso_reduced_over_all_assignments(seq)]
                 assert got == want, seq.degrees
+
+
+def test_twin_pruned_iso_reduction_matches_the_unpruned_walk():
+    # the same representatives in the same order as the walk without twin
+    # pruning: every connected class with n <= 7, and every class, connected
+    # or not, of each graphic sequence of positive degrees with n <= 6
+    classes = 0
+    for n in range(2, 8):
+        for c in range(-1, n * (n - 1) // 2 - n + 1):
+            for seq in connected_realizable_sequences(n, c):
+                got = [g.edges for g in enumerate_realizations(seq, isomorphism_reduce=True)]
+                assert got == iso_reduced_unpruned(seq), seq.degrees
+                classes += len(got)
+    assert classes == 1 + 2 + 6 + 21 + 112 + 853
+    for n in range(2, 7):
+        for degrees in combinations_with_replacement(range(n - 1, 0, -1), n):
+            if not sq.is_graphic(degrees):
+                continue
+            seq = DegreeSequence(degrees)
+            got = [
+                g.edges
+                for g in enumerate_realizations(
+                    seq, connected_only=False, isomorphism_reduce=True
+                )
+            ]
+            assert got == iso_reduced_unpruned(seq, connected_only=False), degrees
+
+
+def test_twin_combinations_are_the_prefix_respecting_subsets():
+    # against filtering every subset: a class member may be taken only if
+    # the member before it is
+    rng = random.Random(9)
+    for _ in range(300):
+        m = rng.randint(1, 9)
+        labels = [rng.randint(0, 3) for _ in range(m)]
+        pred = [
+            max((q for q in range(p) if labels[q] == labels[p]), default=-1)
+            for p in range(m)
+        ]
+        cand = sorted(rng.sample(range(20), m))
+        for k in range(1, m + 1):
+            want = [
+                tuple(cand[p] for p in combo)
+                for combo in combinations(range(m), k)
+                if all(pred[p] < 0 or pred[p] in combo for p in combo)
+            ]
+            assert list(orc._twin_combinations(cand, k, pred)) == want, (labels, k)
 
 
 def test_distinct_assignments_match_the_permutation_set():
@@ -226,6 +275,23 @@ def test_branch_and_bound_matches_exhaustive_scan():
                 assert res.nodes > 0
                 checked += 1
     assert checked == 290
+
+
+def test_twin_pruned_search_matches_the_unpruned_search():
+    # the same maximum and witness as the branch-and-bound without twin
+    # pruning, in fewer nodes overall
+    checked = nodes = unpruned_nodes = 0
+    for n in range(2, 10):
+        for c in range(-1, 4):
+            for seq in connected_realizable_sequences(n, c):
+                m2, edges, reference_nodes = search_unpruned(seq)
+                res = search_max_m2(seq)
+                assert (res.max_m2, res.witness.edges) == (m2, edges), seq.to_text()
+                nodes += res.nodes
+                unpruned_nodes += reference_nodes
+                checked += 1
+    assert checked == 506
+    assert nodes < unpruned_nodes
 
 
 def test_search_matches_brute_force_maxima_up_to_n6():
