@@ -139,37 +139,35 @@ def is_connected(g: SimpleGraph) -> bool:
 
 def relabel(g: SimpleGraph, mapping: Mapping[int, int]) -> SimpleGraph:
     """Apply a vertex permutation given as {old: new}."""
-    if sorted(mapping) != list(range(1, g.n + 1)) or sorted(
-        mapping.values()
-    ) != list(range(1, g.n + 1)):
+    old = sorted(_as_int(v, "vertex") for v in mapping)
+    new = sorted(_as_int(v, "vertex") for v in mapping.values())
+    if old != list(range(1, g.n + 1)) or new != old:
         raise DomainError("mapping must be a permutation of 1..n")
     return SimpleGraph(g.n, ((mapping[u], mapping[v]) for u, v in g.edges))
 
 
+def _int_pair(line: str, what: str) -> tuple[int, int]:
+    """The two decimal integers of a header or edge line."""
+    parts = line.split()
+    if len(parts) != 2 or not (parts[0].isdecimal() and parts[1].isdecimal()):
+        raise ParseError(f"bad {what} {line!r}; expected two decimal integers")
+    try:
+        return int(parts[0]), int(parts[1])
+    except ValueError as exc:  # past CPython's digit limit for int()
+        raise ParseError(f"bad {what} {line!r}; integer too large") from exc
+
+
 def parse_edge_list(text: str) -> SimpleGraph:
-    """Parse the edge-list format: header ``"n m"``, then m lines ``"u v"``."""
+    """Parse the edge-list format: header ``"n m"``, then m lines ``"u v"``.
+    Every field is a run of decimal digits; a sign, an underscore or a
+    base prefix is a parse error."""
     lines = [ln for ln in (raw.strip() for raw in text.split("\n")) if ln]
     if not lines:
         raise ParseError("empty graph text")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise ParseError(f"bad header {lines[0]!r}; expected 'n m'")
-    try:
-        n, m = int(head[0]), int(head[1])
-    except ValueError as exc:
-        raise ParseError(f"bad header {lines[0]!r}") from exc
+    n, m = _int_pair(lines[0], "header")
     if len(lines) - 1 != m:
         raise ParseError(f"header promises {m} edges, found {len(lines) - 1}")
-    edges = []
-    for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise ParseError(f"bad edge line {ln!r}")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError as exc:
-            raise ParseError(f"bad edge line {ln!r}") from exc
-        edges.append((u, v))
+    edges = [_int_pair(ln, "edge line") for ln in lines[1:]]
     try:
         return SimpleGraph(n, edges)
     except DomainError as exc:
@@ -191,22 +189,57 @@ def to_dot(g: SimpleGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _refine(g: SimpleGraph, colors: list[int]) -> list[int]:
-    """Refine a vertex coloring until every vertex of a color sees the same
-    multiset of neighbor colors.  Color ids are canonical (assigned by sorted
-    signature, which leads with the old color), so they agree across
-    isomorphic colored graphs and keep the order of the cells they split."""
-    ncolors = len(set(colors[1:]))
-    while True:
-        sigs = [
-            (colors[v], tuple(sorted([colors[u] for u in g._adj[v]])))
-            for v in range(1, g.n + 1)
-        ]
-        remap = {sig: i for i, sig in enumerate(sorted(set(sigs)))}
-        colors = [0] + [remap[sig] for sig in sigs]
-        if len(remap) == ncolors:
-            return colors
-        ncolors = len(remap)
+def _refine(
+    g: SimpleGraph, colors: list[int], ncolors: int, weight: list[int]
+) -> tuple[list[int], int]:
+    """Refine a vertex coloring with ids ``0..ncolors-1`` until every vertex
+    of a color sees the same multiset of neighbor colors; return it and its
+    number of colors.
+
+    A vertex's signature is ``colors[v] * weight[n]`` minus the sum of
+    ``weight[c] = (n + 1) ** c`` over its neighbors' colors c.  A vertex has
+    fewer than n + 1 neighbors, so that sum writes the neighbor-color
+    multiset in base n + 1, and signatures order by color first.  Color ids
+    are assigned in sorted-signature order, so they are canonical (they
+    agree across isomorphic colored graphs) and keep the order of the cells
+    they split."""
+    n = g.n
+    top = weight[n]
+    while ncolors < n:
+        wc = [weight[c] for c in colors]
+        sigs = [c * top for c in colors]
+        for u, v in g.edges:
+            sigs[u] -= wc[v]
+            sigs[v] -= wc[u]
+        del sigs[0]
+        distinct = set(sigs)
+        if len(distinct) == ncolors:
+            break
+        ncolors = len(distinct)
+        rank = {sig: i for i, sig in enumerate(sorted(distinct))}
+        colors = [0]
+        colors.extend(map(rank.__getitem__, sigs))
+    return colors, ncolors
+
+
+def _twin_transpositions(g: SimpleGraph) -> list[list[int]]:
+    """Transpositions of consecutive members of each class of vertices with
+    equal open or equal closed neighborhoods, as vertex maps (entry 0
+    unused).  Swapping two such twins is an automorphism."""
+    # one dict serves both kinds: N(u) = N[v] would put u in N(u)
+    adj = g._adj
+    classes: dict[tuple[int, ...], list[int]] = {}
+    for v in range(1, g.n + 1):
+        classes.setdefault(adj[v], []).append(v)
+        classes.setdefault(tuple(sorted(adj[v] + (v,))), []).append(v)
+    swaps = []
+    for members in classes.values():
+        if len(members) > 1:
+            for u, v in zip(members, members[1:]):
+                perm = list(range(g.n + 1))
+                perm[u], perm[v] = v, u
+                swaps.append(perm)
+    return swaps
 
 
 def canonical_form(
@@ -215,49 +248,109 @@ def canonical_form(
     """Canonical edge tuple: equal for two graphs iff they are isomorphic.
 
     Individualization-refinement (McKay & Piperno, "Practical graph
-    isomorphism, II", 2014): color-refine the vertices by degree, take the
-    first cell with more than one vertex (by color id), give each of its
-    vertices in turn a color of its own, refine again and recurse.  Every
-    choice is made on canonical colors, so the set of discrete leaves is the
-    same for isomorphic graphs; the least relabeled edge list over those
-    leaves is the form.  ``perm_cap`` bounds the search nodes entered;
-    beyond it the search refuses.
+    isomorphism, II", 2014): color-refine the vertices, take the first cell
+    with more than one vertex (by color id), give each of its vertices in
+    turn a color of its own, refine again and recurse.  Every choice is made
+    on canonical colors, so the set of discrete leaves is the same for
+    isomorphic graphs; the least relabeled edge list over those leaves is
+    the form.
+
+    The search skips children that an automorphism maps onto a child
+    already explored.  At a node whose individualized path is P, a child is
+    skipped when it lies in the orbit of an explored sibling under the known
+    automorphisms that fix P pointwise; the skipped subtree is the image of
+    an explored one and holds the same relabeled edge lists.  Two rules
+    supply those automorphisms:
+
+    - twins: the transposition of two vertices with equal open or equal
+      closed neighborhoods, seeded before the search, so only one vertex of
+      each twin class in a cell is individualized;
+    - equal leaves: a leaf whose relabeled edge list equals the best one so
+      far maps onto the best leaf by an automorphism.  That automorphism
+      maps the leaf's path onto the best leaf's path, so the search also
+      leaves the rest of the subtree where the two paths part, as nauty's
+      basic scheme does.
+
+    ``perm_cap`` bounds the nodes the pruned search enters; beyond it the
+    search refuses.
     """
-    best: tuple[tuple[int, int], ...] | None = None
+    n = g.n
+    edges = g.edges
+    weight = [(n + 1) ** c for c in range(n + 1)]
+    colors, ncolors = _refine(g, [0] * (n + 1), 1, weight)
+    # automorphisms known so far, as vertex maps (entry 0 unused)
+    autos = _twin_transpositions(g) if ncolors < n else []
+    best: list[int] | None = None  # least edge keys u * n + v over the leaves
+    best_vertex: list[int] = []  # the best leaf's color -> vertex
+    best_path: list[int] = []
     nodes = 0
 
-    def search(colors: list[int]) -> None:
-        nonlocal best, nodes
+    def search(colors: list[int], ncolors: int, path: list[int]) -> int:
+        """Search below ``path``; return the depth of the node at which the
+        search goes on (``len(path)`` unless an automorphism found below
+        makes the rest of an ancestor's current child redundant)."""
+        nonlocal best, best_vertex, best_path, nodes
         nodes += 1
         if nodes > perm_cap:
             raise CapExceededError(
                 f"canonical form search exceeds its cap of {perm_cap} nodes"
             )
-        sizes = [0] * g.n
-        for c in colors[1:]:
-            sizes[c] += 1
-        target = next((c for c, size in enumerate(sizes) if size > 1), None)
-        if target is None:
-            cand = tuple(
-                sorted(
-                    (colors[u] + 1, colors[v] + 1)
-                    if colors[u] < colors[v]
-                    else (colors[v] + 1, colors[u] + 1)
-                    for u, v in g.edges
-                )
+        if ncolors == n:
+            pos = colors
+            cert = sorted(
+                [
+                    pos[u] * n + pos[v] if pos[u] < pos[v] else pos[v] * n + pos[u]
+                    for u, v in edges
+                ]
             )
-            if best is None or cand < best:
-                best = cand
-            return
-        cell = [v for v in range(1, g.n + 1) if colors[v] == target]
+            if best is None or cert < best:
+                best, best_path = cert, path
+                best_vertex = [0] * n
+                for v in range(1, n + 1):
+                    best_vertex[colors[v]] = v
+            elif cert == best:
+                autos.append([0] + [best_vertex[colors[v]] for v in range(1, n + 1)])
+                # the automorphism maps this path onto the best one, so it
+                # fixes their common prefix and maps the child taken after it
+                # onto the best path's, whose subtree is explored: go back
+                # to the node at the end of that prefix
+                depth = 0
+                while path[depth] == best_path[depth]:
+                    depth += 1
+                return depth
+            return len(path)
+        sizes = [0] * ncolors
+        for v in range(1, n + 1):
+            sizes[colors[v]] += 1
+        target = next(c for c, size in enumerate(sizes) if size > 1)
+        cell = [v for v in range(1, n + 1) if colors[v] == target]
+        orbit = {v: v for v in cell}  # cell vertex -> orbit label
+        explored: list[int] = []
+        absorbed = 0
         for v in cell:
-            split = [2 * c + (c == target) for c in colors]
-            split[v] = 2 * target
-            search(_refine(g, split))
+            if explored:
+                for perm in autos[absorbed:]:
+                    if all(perm[p] == p for p in path):
+                        for u in cell:
+                            a, b = orbit[u], orbit[perm[u]]
+                            if a != b:
+                                for w in cell:
+                                    if orbit[w] == b:
+                                        orbit[w] = a
+                absorbed = len(autos)
+                if any(orbit[w] == orbit[v] for w in explored):
+                    continue
+            explored.append(v)
+            split = [c + (c >= target) for c in colors]
+            split[v] = target
+            resume = search(*_refine(g, split, ncolors + 1, weight), path + [v])
+            if resume < len(path):
+                return resume
+        return len(path)
 
-    search(_refine(g, [-d for d in g.degrees()]))
+    search(colors, ncolors, [])
     assert best is not None
-    return best
+    return tuple((key // n + 1, key % n + 1) for key in best)
 
 
 def is_isomorphic(g1: SimpleGraph, g2: SimpleGraph) -> bool:

@@ -203,6 +203,75 @@ def _refine_colors_reference(g):
         ncolors = len(remap)
 
 
+def _refine_unpruned(g: SimpleGraph, colors: list[int]) -> list[int]:
+    """Refine a vertex coloring until every vertex of a color sees the same
+    multiset of neighbor colors.  Color ids are canonical (assigned by sorted
+    signature, which leads with the old color), so they agree across
+    isomorphic colored graphs and keep the order of the cells they split."""
+    ncolors = len(set(colors[1:]))
+    while True:
+        sigs = [
+            (colors[v], tuple(sorted([colors[u] for u in g._adj[v]])))
+            for v in range(1, g.n + 1)
+        ]
+        remap = {sig: i for i, sig in enumerate(sorted(set(sigs)))}
+        colors = [0] + [remap[sig] for sig in sigs]
+        if len(remap) == ncolors:
+            return colors
+        ncolors = len(remap)
+
+
+def canonical_form_unpruned(
+    g: SimpleGraph, perm_cap: int = 2_000_000
+) -> tuple[tuple[int, int], ...]:
+    """Canonical edge tuple: equal for two graphs iff they are isomorphic.
+
+    Individualization-refinement (McKay & Piperno, "Practical graph
+    isomorphism, II", 2014): color-refine the vertices by degree, take the
+    first cell with more than one vertex (by color id), give each of its
+    vertices in turn a color of its own, refine again and recurse.  Every
+    choice is made on canonical colors, so the set of discrete leaves is the
+    same for isomorphic graphs; the least relabeled edge list over those
+    leaves is the form.  ``perm_cap`` bounds the search nodes entered;
+    beyond it the search refuses.
+    """
+    best: tuple[tuple[int, int], ...] | None = None
+    nodes = 0
+
+    def search(colors: list[int]) -> None:
+        nonlocal best, nodes
+        nodes += 1
+        if nodes > perm_cap:
+            raise CapExceededError(
+                f"canonical form search exceeds its cap of {perm_cap} nodes"
+            )
+        sizes = [0] * g.n
+        for c in colors[1:]:
+            sizes[c] += 1
+        target = next((c for c, size in enumerate(sizes) if size > 1), None)
+        if target is None:
+            cand = tuple(
+                sorted(
+                    (colors[u] + 1, colors[v] + 1)
+                    if colors[u] < colors[v]
+                    else (colors[v] + 1, colors[u] + 1)
+                    for u, v in g.edges
+                )
+            )
+            if best is None or cand < best:
+                best = cand
+            return
+        cell = [v for v in range(1, g.n + 1) if colors[v] == target]
+        for v in cell:
+            split = [2 * c + (c == target) for c in colors]
+            split[v] = 2 * target
+            search(_refine_unpruned(g, split))
+
+    search(_refine_unpruned(g, [-d for d in g.degrees()]))
+    assert best is not None
+    return best
+
+
 def canonical_form_by_permutations(g, perm_cap=2_000_000):
     """Reference canonical form: color-refine once, then take the least
     relabeled edge list over every ordering that respects the stable color

@@ -127,6 +127,9 @@ def test_m2_parse_error(tmp_path):
     path.write_text("3 1\n1 1\n")
     assert run_cli("m2", str(path)).returncode == 2
     assert run_cli("m2", str(tmp_path / "missing")).returncode == 2
+    # "1_0" would read as 10 under int(); the format takes decimal digits only
+    path.write_text("10 1\n1_0 1\n")
+    assert run_cli("m2", str(path)).returncode == 2
 
 
 @pytest.mark.parametrize("command", ["m2", "improve"])

@@ -28,6 +28,7 @@ from helpers import (
     SEVEN_VERTEX_GREEDY,
     all_pairs,
     canonical_form_by_permutations,
+    canonical_form_unpruned,
 )
 
 
@@ -152,6 +153,17 @@ def test_second_zagreb_relabel_invariance():
             assert second_zagreb(relabel(g, mapping)) == base
 
 
+def test_relabel_rejects_non_integer_labels():
+    g = SimpleGraph(2, [(1, 2)])
+    with pytest.raises(DomainError, match="not an integer"):
+        relabel(g, {1: "a", 2: 1})
+    with pytest.raises(DomainError, match="not an integer"):
+        relabel(g, {1.0: 2, 2: 1})
+    with pytest.raises(DomainError, match="permutation"):
+        relabel(g, {1: 1, 2: 1})
+    assert relabel(g, {1: 2, 2: 1}) == g
+
+
 # --- degree sequences of graphs ----------------------------------------------
 
 
@@ -221,6 +233,14 @@ def test_parse_failures(text):
         parse_edge_list(text)
 
 
+@pytest.mark.parametrize("token", ["+2", "1_0", "0x1"])
+def test_edge_list_fields_are_decimal_digits(token):
+    # int() reads "+2" as 2 and "1_0" as 10; the format takes digits only
+    for text in (f"10 1\n{token} 3", f"{token} 1\n1 2", f"10 {token}\n1 2"):
+        with pytest.raises(ParseError, match="decimal"):
+            parse_edge_list(text)
+
+
 def test_to_dot_triangle():
     lines = to_dot(cycle(3)).strip().split("\n")
     assert lines[0] == "graph g {" and lines[-1] == "}"
@@ -244,9 +264,39 @@ CUBIC_TEN = SimpleGraph(
 )
 
 
+def complete(n):
+    return SimpleGraph(n, [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)])
+
+
+PETERSEN = SimpleGraph(
+    10,
+    [(i, i % 5 + 1) for i in range(1, 6)]
+    + [(i + 5, (i + 1) % 5 + 6) for i in range(1, 6)]
+    + [(i, i + 5) for i in range(1, 6)],
+)
+
+# 4x4 rook graph: cells of a 4x4 board, adjacent when they share a row or a column
+ROOK_4X4 = SimpleGraph(
+    16,
+    [
+        (u, v)
+        for u in range(1, 17)
+        for v in range(u + 1, 17)
+        if (u - 1) // 4 == (v - 1) // 4 or (u - 1) % 4 == (v - 1) % 4
+    ],
+)
+
+MATCHING_10 = SimpleGraph(20, [(2 * i - 1, 2 * i) for i in range(1, 11)])
+
+
 def test_canonical_form_invariant_under_relabeling():
+    # the last five have large automorphism groups, where twin and
+    # leaf-automorphism pruning skip most of the search tree
     rng = random.Random(7)
-    for g in (SEVEN_VERTEX_BETTER, cycle(9), CUBIC_TEN):
+    for g in (
+        SEVEN_VERTEX_BETTER, cycle(9), CUBIC_TEN,
+        complete(8), PETERSEN, cycle(12), ROOK_4X4, MATCHING_10,
+    ):
         form = canonical_form(g)
         labels = list(range(1, g.n + 1))
         for _ in range(25):
@@ -267,6 +317,16 @@ def test_canonical_form_partitions_like_the_permutation_scan_up_to_n5():
         assert len({new for new, _ in keys}) == len({ref for _, ref in keys}) == len(keys)
 
 
+def test_canonical_form_partitions_like_the_unpruned_search_at_n6():
+    # all 32,768 labeled graphs on 6 vertices, 156 classes
+    pairs = all_pairs(6)
+    keys = set()
+    for mask in range(1 << len(pairs)):
+        g = SimpleGraph(6, [e for bit, e in enumerate(pairs) if mask >> bit & 1])
+        keys.add((canonical_form(g), canonical_form_unpruned(g)))
+    assert len({new for new, _ in keys}) == len({old for _, old in keys}) == len(keys) == 156
+
+
 def test_canonical_form_separates_non_isomorphic():
     # same degree sequence (2,2,2,2,2,2), different graphs
     hexagon = cycle(6)
@@ -277,6 +337,19 @@ def test_canonical_form_separates_non_isomorphic():
 
 
 def test_canonical_form_permutation_cap():
-    matching = SimpleGraph(20, [(2 * i - 1, 2 * i) for i in range(1, 11)])
-    with pytest.raises(CapExceededError):
-        canonical_form(matching, perm_cap=1000)
+    # the cap counts the nodes of the pruned search: 65 on this perfect
+    # matching (the unpruned search needs over 10^6)
+    with pytest.raises(CapExceededError, match="cap of 32 nodes"):
+        canonical_form(MATCHING_10, perm_cap=32)
+    canonical_form(MATCHING_10, perm_cap=100)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [complete(8), PETERSEN, SimpleGraph(16, [(1, v) for v in range(2, 17)])],
+    ids=["K8", "petersen", "star15"],
+)
+def test_canonical_form_prunes_symmetric_graphs(g):
+    # the unpruned search enters 69,281 nodes on K_8 and 221 on Petersen and
+    # walks towards 15! leaves on the star; the star's leaves are open twins
+    canonical_form(g, perm_cap=64)
