@@ -60,14 +60,18 @@ def _cycle_edges(vertices: Sequence[int]) -> list[tuple[int, int]]:
     ]
 
 
-def build_vertex_glued_cycles(p: int, q: int) -> SimpleGraph:
-    """Two cycles C_p and C_q sharing exactly the vertex 1; order p+q-1."""
+def _glued_cycle_edges(p: int, q: int) -> list[tuple[int, int]]:
+    """Edges of C_p and C_q sharing exactly the vertex 1, on 1..p+q-1."""
     if p < 3 or q < 3:
         raise DomainError(f"cycle lengths must be >= 3, got ({p},{q})")
-    n = p + q - 1
     edges = _cycle_edges(list(range(1, p + 1)))
     edges += _cycle_edges([1] + list(range(p + 1, p + q)))
-    return SimpleGraph(n, edges)
+    return edges
+
+
+def build_vertex_glued_cycles(p: int, q: int) -> SimpleGraph:
+    """Two cycles C_p and C_q sharing exactly the vertex 1; order p+q-1."""
+    return SimpleGraph(p + q - 1, _glued_cycle_edges(p, q))
 
 
 def build_path_joined_cycles(p: int, r: int, q: int) -> SimpleGraph:
@@ -113,10 +117,9 @@ def build_glued_cycles_with_paths(
         raise DomainError("need at least one pendant path")
     if any(x < 1 for x in lengths):
         raise DomainError(f"path lengths must be >= 1, got {lengths}")
-    base = build_vertex_glued_cycles(p, q)
-    n = base.n + sum(lengths)
-    edges = list(base.edges)
-    nxt = base.n + 1
+    edges = _glued_cycle_edges(p, q)
+    nxt = p + q
+    n = nxt - 1 + sum(lengths)
     for length in lengths:
         path = [1] + list(range(nxt, nxt + length))
         nxt += length
@@ -191,8 +194,8 @@ def bicyclic_max_m2(seq: DegreeSequence) -> BicyclicMaxResult:
         raise DomainError(
             f"internal: witness realizes ({realized.to_text()}), wanted ({seq.to_text()})"
         )
-    if second_zagreb(witness.graph) != value:
-        raise DomainError(
-            f"internal: witness index {second_zagreb(witness.graph)} != formula value {value}"
-        )
+    if case_id != 5:  # case 5's value is already the witness's own index
+        index = second_zagreb(witness.graph)
+        if index != value:
+            raise DomainError(f"internal: witness index {index} != formula value {value}")
     return BicyclicMaxResult(case_id, value, witness)

@@ -38,14 +38,19 @@ def _report(command: str, inputs: dict, result: Any, warnings: list[str]) -> dic
 
 
 def _emit(report: dict, pretty: bool) -> None:
+    # edge tuples go out as they are: json writes a tuple as an array
     if pretty:
         print(json.dumps(report, indent=2, sort_keys=True))
     else:
         print(json.dumps(report, sort_keys=True, separators=(",", ":")))
 
 
-def _edges_json(g: gr.SimpleGraph) -> list[list[int]]:
-    return [[u, v] for u, v in g.edges]
+def _cap_arg(text: str) -> int:
+    """``--cap`` in the grammar of ``ZAGREBMAX_ORACLE_CAP``: ASCII digits only."""
+    try:
+        return orc._parse_cap(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _read_graph(path: str) -> gr.SimpleGraph:
@@ -101,7 +106,7 @@ def cmd_construct(args) -> Optional[dict]:
         "sequence": seq.to_text(),
         "n": trace.graph.n,
         "m": trace.graph.m,
-        "edges": _edges_json(trace.graph),
+        "edges": trace.graph.edges,
         "m2": gr.second_zagreb(trace.graph),
         "ordering": list(trace.ordering),
         "layers": list(trace.layers),
@@ -132,7 +137,7 @@ def cmd_bicyclic_max(args) -> dict:
         "value": res.value,
         "family": res.witness.label(),
         "params": list(res.witness.params),
-        "edges": _edges_json(res.witness.graph),
+        "edges": res.witness.graph.edges,
     }
     return _report("bicyclic-max", {"sequence": args.sequence}, result, [])
 
@@ -143,7 +148,7 @@ def cmd_oracle(args) -> dict:
     result = {
         "sequence": seq.to_text(),
         "max_m2": res.max_m2,
-        "witness_edges": _edges_json(res.witness),
+        "witness_edges": res.witness.edges,
         "nodes": res.nodes,
     }
     if not args.no_timing:
@@ -165,7 +170,7 @@ def cmd_improve(args) -> dict:
             }
             for mv in moves
         ],
-        "edges": _edges_json(final_graph),
+        "edges": final_graph.edges,
     }
     return _report("improve", {"graph": args.graph}, result, [])
 
@@ -285,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
         "oracle", parents=[common], help="exact maximum by branch-and-bound search"
     )
     p.add_argument("sequence")
-    p.add_argument("--cap", type=int, default=None, help="refuse n beyond this bound")
+    p.add_argument("--cap", type=_cap_arg, default=None, help="refuse n beyond this bound")
     p.add_argument(
         "--no-timing", action="store_true", help="omit timing for byte-identical output"
     )
@@ -309,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--excess", type=int, required=True)
     p.add_argument("--verify-monotone", action="store_true")
-    p.add_argument("--cap", type=int, default=None)
+    p.add_argument("--cap", type=_cap_arg, default=None)
     p.set_defaults(func=cmd_sweep)
     return parser
 

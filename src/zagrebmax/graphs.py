@@ -12,7 +12,7 @@ from collections import deque
 from typing import Iterable, Mapping
 
 from .errors import CapExceededError, DomainError, ParseError
-from .sequences import DegreeSequence, _as_int
+from .sequences import DegreeSequence, _as_int, _is_digits
 
 
 class SimpleGraph:
@@ -26,6 +26,9 @@ class SimpleGraph:
         if n < 1:
             raise DomainError("graph needs at least one vertex")
         seen: set[tuple[int, int]] = set()
+        # the edges in input order; builders emit them sorted or in a few
+        # sorted runs, which timsort merges in about linear time
+        normalised: list[tuple[int, int]] = []
         for u, v in edges:
             if type(u) is not int or type(v) is not int:
                 u, v = _as_int(u, "vertex"), _as_int(v, "vertex")
@@ -37,14 +40,16 @@ class SimpleGraph:
             if e in seen:
                 raise DomainError(f"duplicate edge ({e[0]},{e[1]})")
             seen.add(e)
+            normalised.append(e)
+        normalised.sort()
         self.n = n
-        self.edges: tuple[tuple[int, int], ...] = tuple(sorted(seen))
+        self.edges: tuple[tuple[int, int], ...] = tuple(normalised)
         adj: list[list[int]] = [[] for _ in range(n + 1)]
-        for u, v in self.edges:
+        for u, v in normalised:
             adj[u].append(v)
             adj[v].append(u)
-        # filled from the sorted edge tuple, so each list is already ascending
-        self._adj = tuple(tuple(nbrs) for nbrs in adj)
+        # filled from the sorted edges, so each list is already ascending
+        self._adj = tuple(map(tuple, adj))
 
     @property
     def m(self) -> int:
@@ -64,7 +69,7 @@ class SimpleGraph:
 
     def degrees(self) -> list[int]:
         """Degree of each vertex, indexed by label (entry 0 unused)."""
-        return [0] + [len(self._adj[v]) for v in range(1, self.n + 1)]
+        return list(map(len, self._adj))
 
     def has_edge(self, u: int, v: int) -> bool:
         # the hill climb calls this in its inner loop: check plain ints inline
@@ -149,7 +154,7 @@ def relabel(g: SimpleGraph, mapping: Mapping[int, int]) -> SimpleGraph:
 def _int_pair(line: str, what: str) -> tuple[int, int]:
     """The two decimal integers of a header or edge line."""
     parts = line.split()
-    if len(parts) != 2 or not (parts[0].isdecimal() and parts[1].isdecimal()):
+    if len(parts) != 2 or not (_is_digits(parts[0]) and _is_digits(parts[1])):
         raise ParseError(f"bad {what} {line!r}; expected two decimal integers")
     try:
         return int(parts[0]), int(parts[1])

@@ -44,10 +44,18 @@ from typing import Iterator, Optional, Sequence
 
 from .errors import CapExceededError, DomainError, ParseError
 from .graphs import SimpleGraph, canonical_form, is_connected
-from .sequences import DegreeSequence, is_connected_realizable, is_graphic
+from .sequences import DegreeSequence, _is_digits, is_connected_realizable, is_graphic
 
 DEFAULT_CAP = 10
 CAP_ENV_VAR = "ZAGREBMAX_ORACLE_CAP"
+
+
+def _parse_cap(text: str) -> int:
+    """A cap written as a run of ASCII digits, the grammar of graph-file
+    fields: a sign, an underscore or whitespace is a ValueError."""
+    if not _is_digits(text):
+        raise ValueError(f"{text!r} is not a run of decimal digits")
+    return int(text)  # a ValueError too past CPython's digit limit
 
 
 def default_cap() -> int:
@@ -55,7 +63,7 @@ def default_cap() -> int:
     if raw is None:
         return DEFAULT_CAP
     try:
-        return int(raw)
+        return _parse_cap(raw)
     except ValueError:
         raise ParseError(f"{CAP_ENV_VAR}={raw!r} is not an integer") from None
 

@@ -32,6 +32,11 @@ def _as_int(value, what: str) -> int:
         raise DomainError(f"{what} {value!r} is not an integer") from None
 
 
+def _is_digits(text: str) -> bool:
+    """Whether ``text`` is a non-empty run of the ASCII digits 0-9."""
+    return text.isascii() and text.isdigit()
+
+
 @dataclass(frozen=True)
 class DegreeSequence:
     """Validated non-increasing sequence of positive vertex degrees."""
@@ -40,7 +45,12 @@ class DegreeSequence:
     resorted: bool = field(default=False, compare=False)
 
     def __post_init__(self):
-        degs = tuple(_as_int(d, "degree") for d in self.degrees)
+        raw = tuple(self.degrees)  # read a one-shot iterator once
+        try:
+            degs = tuple(map(operator.index, raw))
+        except TypeError:
+            # convert again one by one to name the value that is not an integer
+            degs = tuple(_as_int(d, "degree") for d in raw)
         if not degs:
             raise DomainError("degree sequence must be non-empty")
         canonical = tuple(sorted(degs, reverse=True))
@@ -74,12 +84,25 @@ class DegreeSequence:
 
     @classmethod
     def parse(cls, text: str) -> "DegreeSequence":
-        """Parse ``"4,4,3,1"`` or run-length shorthand ``"4^2,3,1"``."""
+        """Parse ``"4,4,3,1"`` or run-length shorthand ``"4^2,3,1"``.
+
+        A token is a run of ASCII digits, optionally followed by ``^`` and a
+        repeat count, with whitespace allowed around it."""
+        tokens = text.split(",")
+        if text.isascii() and all(map(str.isdigit, tokens)):
+            # plain digits only: convert the whole list at once; a token past
+            # int()'s digit limit falls through to the loop, which names it
+            try:
+                plain = tuple(map(int, tokens))
+            except ValueError:
+                pass
+            else:
+                return cls(plain)
         degs: list[int] = []
-        for raw in text.split(","):
+        for raw in tokens:
             token = raw.strip()
             value, caret, repeat = token.partition("^")
-            if not value.isdecimal() or (caret and not repeat.isdecimal()):
+            if not _is_digits(value) or (caret and not _is_digits(repeat)):
                 raise ParseError(f"bad degree token {token!r}")
             try:
                 degree = int(value)
@@ -95,7 +118,7 @@ class DegreeSequence:
 
     def to_text(self) -> str:
         """Serialize in plain comma form."""
-        return ",".join(str(d) for d in self.degrees)
+        return ",".join(map(str, self.degrees))
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.degrees)
@@ -229,8 +252,8 @@ def classify(seq: DegreeSequence) -> SequenceClass:
     return SequenceClass(
         excess=excess,
         kind=kind,
-        leaf_count=sum(1 for d in degs if d == 1),
-        degree2_count=sum(1 for d in degs if d == 2),
+        leaf_count=degs.count(1),
+        degree2_count=degs.count(2),
     )
 
 

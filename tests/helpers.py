@@ -8,11 +8,15 @@ optima with the same index.
 """
 
 import math
+from dataclasses import dataclass, field
 from itertools import combinations, permutations
+from typing import Iterable
 
 from zagrebmax import (
     CapExceededError,
     DegreeSequence,
+    DomainError,
+    ParseError,
     SimpleGraph,
     canonical_form,
     is_graphic,
@@ -20,6 +24,7 @@ from zagrebmax import (
     MajorizationOrder,
 )
 from zagrebmax.oracle import _distinct_assignments, _Incumbent, _iter_edges
+from zagrebmax.sequences import _as_int
 
 SEVEN_VERTEX_GREEDY = SimpleGraph(
     7, [(1, 2), (1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (2, 5), (3, 6), (4, 7)]
@@ -355,3 +360,95 @@ def iso_reduced_unpruned(seq, connected_only=True):
             seen.add(key)
             out.append(g.edges)
     return out
+
+
+# --- element-by-element conversions, kept as the reference for the bulk ones --
+#
+# DegreeSequence.parse, DegreeSequence.__post_init__ and SimpleGraph.__init__
+# as they were before they converted whole lists at once; the only change is
+# the class names.  The reference parser still takes any Unicode decimal digit.
+
+
+@dataclass(frozen=True)
+class DegreeSequenceReference:
+    degrees: tuple[int, ...]
+    resorted: bool = field(default=False, compare=False)
+
+    def __post_init__(self):
+        degs = tuple(_as_int(d, "degree") for d in self.degrees)
+        if not degs:
+            raise DomainError("degree sequence must be non-empty")
+        canonical = tuple(sorted(degs, reverse=True))
+        if canonical != degs:
+            object.__setattr__(self, "degrees", canonical)
+            object.__setattr__(self, "resorted", True)
+        else:
+            object.__setattr__(self, "degrees", degs)
+        n = len(canonical)
+        if canonical[-1] < 1:
+            raise DomainError(f"degrees must be positive, got {canonical[-1]}")
+        if canonical[0] > n - 1:
+            raise DomainError(
+                f"degree {canonical[0]} exceeds n-1 = {n - 1}; no simple graph can realize it"
+            )
+        if sum(canonical) % 2 != 0:
+            raise DomainError("degree sum must be even")
+
+    @classmethod
+    def parse(cls, text: str) -> "DegreeSequenceReference":
+        """Parse ``"4,4,3,1"`` or run-length shorthand ``"4^2,3,1"``."""
+        degs: list[int] = []
+        for raw in text.split(","):
+            token = raw.strip()
+            value, caret, repeat = token.partition("^")
+            if not value.isdecimal() or (caret and not repeat.isdecimal()):
+                raise ParseError(f"bad degree token {token!r}")
+            try:
+                degree = int(value)
+                count = int(repeat) if caret else 1
+                run = [degree] * count
+            except (ValueError, OverflowError):
+                # CPython's digit limit on int(), or a count past sys.maxsize
+                raise ParseError(f"degree token {token!r} is too large") from None
+            if count < 1:
+                raise ParseError(f"bad repeat count in {token!r}")
+            degs.extend(run)
+        return cls(tuple(degs))
+
+
+class SimpleGraphReference:
+    __slots__ = ("n", "edges", "_adj")
+
+    def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
+        if type(n) is not int:
+            n = _as_int(n, "vertex count")
+        if n < 1:
+            raise DomainError("graph needs at least one vertex")
+        seen: set[tuple[int, int]] = set()
+        for u, v in edges:
+            if type(u) is not int or type(v) is not int:
+                u, v = _as_int(u, "vertex"), _as_int(v, "vertex")
+            if not (1 <= u <= n and 1 <= v <= n):
+                raise DomainError(f"edge ({u},{v}) out of range 1..{n}")
+            if u == v:
+                raise DomainError(f"loop at vertex {u}")
+            e = (u, v) if u < v else (v, u)
+            if e in seen:
+                raise DomainError(f"duplicate edge ({e[0]},{e[1]})")
+            seen.add(e)
+        self.n = n
+        self.edges: tuple[tuple[int, int], ...] = tuple(sorted(seen))
+        adj: list[list[int]] = [[] for _ in range(n + 1)]
+        for u, v in self.edges:
+            adj[u].append(v)
+            adj[v].append(u)
+        # filled from the sorted edge tuple, so each list is already ascending
+        self._adj = tuple(tuple(nbrs) for nbrs in adj)
+
+
+def outcome(make):
+    """What ``make()`` gives: ("ok", value) or (exception type, message)."""
+    try:
+        return "ok", make()
+    except Exception as exc:  # any exception: its type and message are the outcome
+        return type(exc), str(exc)

@@ -204,6 +204,41 @@ def test_oracle_cap_env_var_malformed():
         assert "ZAGREBMAX_ORACLE_CAP" in error and "'abc'" in error
 
 
+@pytest.mark.parametrize("raw", ["1_0", " +12 ", "12 ", "-1", "１２", ""])
+def test_oracle_cap_env_var_takes_digits_only(raw, monkeypatch, capsys):
+    # int() reads "1_0" as 10 and " +12 " as 12; the variable takes the
+    # grammar of graph-file fields, a run of ASCII digits
+    monkeypatch.setenv("ZAGREBMAX_ORACLE_CAP", raw)
+    for argv in (("oracle", "4,2,2,2,2"), ("sweep", "--n", "5", "--excess", "0")):
+        code, out, err = _main_in_process(argv, capsys)
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"] == f"ZAGREBMAX_ORACLE_CAP={raw!r} is not an integer"
+
+
+@pytest.mark.parametrize("raw", ["1_2", "+12", " 12", "-1", "１２", "0x10"])
+def test_cap_flag_takes_digits_only(raw, capsys):
+    # a malformed --cap is an argparse error (exit 2), not a cap of -1 or 12
+    for argv in (
+        ("oracle", "4,2,2,2,2", "--cap", raw),
+        ("sweep", "--n", "5", "--excess", "0", "--cap", raw),
+    ):
+        code, out, err = _main_in_process(argv, capsys)
+        assert (code, out) == (2, "")
+        assert f"argument --cap: {raw!r} is not a run of decimal digits" in err
+
+
+def test_cap_flag_and_env_var_take_leading_zeros(monkeypatch, capsys):
+    monkeypatch.setenv("ZAGREBMAX_ORACLE_CAP", "04")
+    assert _main_in_process(("oracle", "4,2,2,2,2"), capsys)[0] == 3
+    assert _main_in_process(("oracle", "4,2,2,2,2", "--cap", "005"), capsys)[0] == 0
+
+
+def test_validate_rejects_digits_that_are_not_ascii():
+    proc = run_cli("validate", "３,２,２,１")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert json.loads(proc.stderr)["error"] == "bad degree token '３'"
+
+
 @pytest.mark.parametrize("command", ["validate", "construct", "bicyclic-max"])
 def test_request_runs_erdos_gallai_once(command, monkeypatch, capsys):
     calls = []

@@ -109,7 +109,7 @@ def test_bicyclic_construction_matches_oracle(text, expected):
     assert search_max_m2(seq).max_m2 == expected
 
 
-def _admissible(n, excesses=(-1, 0, 1, 2)):
+def _admissible(n, excesses=range(-1, 9)):
     for c in excesses:
         for seq in connected_realizable_sequences(n, c):
             if check_optimality_conditions(seq).verdict:
@@ -172,8 +172,9 @@ def test_excess_three_generalizes():
 
 
 def test_admissible_sequences_match_oracle_at_n9_to_n12():
-    # extends the n <= 8 acceptance sweep four orders further
-    for n, expected in ((9, 91), (10, 139), (11, 200), (12, 286)):
+    # extends the n <= 8 acceptance sweep four orders further, and from
+    # excess -1..2 to -1..8
+    for n, expected in ((9, 111), (10, 180), (11, 274), (12, 411)):
         count = 0
         for seq in _admissible(n):
             got = second_zagreb(construct_extremal(seq).graph)

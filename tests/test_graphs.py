@@ -4,6 +4,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from zagrebmax import (
     CapExceededError,
@@ -26,9 +27,11 @@ from zagrebmax import (
 from helpers import (
     SEVEN_VERTEX_BETTER,
     SEVEN_VERTEX_GREEDY,
+    SimpleGraphReference,
     all_pairs,
     canonical_form_by_permutations,
     canonical_form_unpruned,
+    outcome,
 )
 
 
@@ -87,6 +90,60 @@ def test_vertex_count_is_converted_to_int():
         SimpleGraph(True, [(1, 2)])
     g = SimpleGraph(np.int64(3), [(1, 2)])
     assert type(g.n) is int and g.n == 3
+
+
+# vertex labels: mostly in range, some just outside it, and now and then a
+# bool, a float, a string or a numpy integer
+_LABEL = st.one_of(
+    st.integers(1, 7),
+    st.integers(1, 7),
+    st.integers(1, 7),
+    st.integers(-1, 9),
+    st.booleans(),
+    st.floats(0, 8),
+    st.sampled_from(["1", np.int64(2)]),
+)
+
+
+@st.composite
+def _edge_lists(draw):
+    """Edges of a random graph on 1..n, in sorted runs or shuffled, either
+    way round, with a few odd labels, loops and duplicates mixed in."""
+    n = draw(st.integers(1, 7))
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+    edges = [e for e in pairs if draw(st.booleans())]
+    layout = draw(st.sampled_from(["sorted", "runs", "shuffled"]))
+    if layout == "runs":
+        cut = draw(st.integers(0, len(edges)))
+        edges = edges[cut:] + edges[:cut]
+    elif layout == "shuffled":
+        edges = draw(st.permutations(edges))
+    edges = [(v, u) if draw(st.booleans()) else (u, v) for u, v in edges]
+    for _ in range(draw(st.integers(0, 2))):
+        odd = draw(
+            st.one_of(
+                st.tuples(_LABEL, _LABEL),
+                st.integers(1, n).map(lambda v: (v, v)),
+                st.sampled_from(edges or [(1, 2)]).map(lambda e: e[::-1]),
+            )
+        )
+        edges.insert(draw(st.integers(0, len(edges))), odd)
+    count = draw(st.one_of(st.just(n), st.just(n), st.sampled_from([0, True, 3.0, "4"])))
+    return count, edges
+
+
+def _graph_fields(g):
+    return g.n, g.edges, g._adj
+
+
+@settings(max_examples=600)
+@given(_edge_lists())
+def test_constructor_matches_element_by_element_reference(case):
+    # the same edges and adjacency, or the same exception naming the first
+    # offending edge in input order
+    n, edges = case
+    got = outcome(lambda: _graph_fields(SimpleGraph(n, edges)))
+    assert got == outcome(lambda: _graph_fields(SimpleGraphReference(n, edges)))
 
 
 def test_queries_reject_labels_outside_the_graph():
@@ -233,9 +290,10 @@ def test_parse_failures(text):
         parse_edge_list(text)
 
 
-@pytest.mark.parametrize("token", ["+2", "1_0", "0x1"])
+@pytest.mark.parametrize("token", ["+2", "1_0", "0x1", "３"])
 def test_edge_list_fields_are_decimal_digits(token):
-    # int() reads "+2" as 2 and "1_0" as 10; the format takes digits only
+    # int() reads "+2" as 2, "1_0" as 10 and a full-width "３" as 3; the
+    # format takes the ASCII digits only
     for text in (f"10 1\n{token} 3", f"{token} 1\n1 2", f"10 {token}\n1 2"):
         with pytest.raises(ParseError, match="decimal"):
             parse_edge_list(text)

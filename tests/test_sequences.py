@@ -18,7 +18,13 @@ from zagrebmax import (
     majorization_compare,
 )
 from zagrebmax import sequences as sq
-from helpers import all_pairs, assert_valid_chain, eg_quadratic
+from helpers import (
+    DegreeSequenceReference,
+    all_pairs,
+    assert_valid_chain,
+    eg_quadratic,
+    outcome,
+)
 
 
 # --- parsing and construction ---------------------------------------------
@@ -49,8 +55,8 @@ def test_parse_failures(text):
 @pytest.mark.parametrize(
     "text,expected",
     [
-        ("٣,٣,١,١", (3, 3, 1, 1)),  # Arabic-Indic digits are decimal
-        ("2^٣", (2, 2, 2)),
+        ("٣,٣,١,١", None),  # Arabic-Indic digits are decimal but not ASCII
+        ("2^٣", None),
         (" 2 ,1, 1 ", (2, 1, 1)),
         ("²,1,1", None),  # superscript two is a digit but not decimal
         ("4^0", None),
@@ -60,6 +66,9 @@ def test_parse_failures(text):
         ("+4", None),
         ("4_0", None),
         ("4 ^5", None),
+        ("３,２,２,１", None),  # full-width digits
+        ("3,2,2,١", None),
+        (" ３ ,1,1", None),
     ],
 )
 def test_parse_token_grammar(text, expected):
@@ -68,6 +77,81 @@ def test_parse_token_grammar(text, expected):
             DegreeSequence.parse(text)
     else:
         assert DegreeSequence.parse(text).degrees == expected
+
+
+# tokens of every kind the grammar accepts or rejects: digit runs (most, so
+# the whole-list fast path is taken often), runs with a repeat count, signs,
+# underscores, empty tokens, padding, digits that are not ASCII, and tokens
+# past int()'s digit limit or a count past sys.maxsize
+_TOKEN = st.one_of(
+    st.integers(0, 12).map(str),
+    st.integers(0, 12).map(str),
+    st.tuples(st.integers(0, 6), st.integers(0, 5)).map(lambda t: f"{t[0]}^{t[1]}"),
+    st.text(alphabet="0123456789^ +_\t", max_size=4),
+    st.text(alphabet="12３２٣١", min_size=1, max_size=2),
+    st.sampled_from(["", " ", "9" * 5000, "1^99999999999999999999", "\u30003"]),
+)
+_PAD = st.sampled_from(["", "", "", " ", "\t", "\u3000"])
+
+
+@st.composite
+def _degree_texts(draw):
+    tokens = draw(st.lists(st.tuples(_PAD, _TOKEN, _PAD), min_size=1, max_size=8))
+    return ",".join(a + t + b for a, t, b in tokens)
+
+
+# plain digit runs only, the whole-list fast path, now and then with a token
+# past the digit limit that sends it back to the token loop
+_PLAIN_TEXTS = st.lists(
+    st.one_of(st.integers(0, 12).map(str), st.just("9" * 5000)), min_size=1, max_size=12
+).map(",".join)
+
+
+def _parse_reference(text):
+    """The element-by-element parser with the ASCII rule applied: the first
+    token that is not ASCII is a bad token unless an earlier token fails."""
+    tokens = text.split(",")
+    first = next((i for i, t in enumerate(tokens) if not t.strip().isascii()), None)
+    if first is None:
+        return outcome(lambda: _as_pair(DegreeSequenceReference.parse(text)))
+    if first:
+        before = outcome(lambda: DegreeSequenceReference.parse(",".join(tokens[:first])))
+        if before[0] is ParseError:
+            return before
+    return ParseError, f"bad degree token {tokens[first].strip()!r}"
+
+
+def _as_pair(seq):
+    return seq.degrees, seq.resorted
+
+
+@settings(max_examples=600)
+@given(st.one_of(_degree_texts(), _PLAIN_TEXTS))
+def test_parse_matches_element_by_element_reference(text):
+    assert outcome(lambda: _as_pair(DegreeSequence.parse(text))) == _parse_reference(text)
+
+
+@settings(max_examples=400)
+@given(
+    st.lists(
+        st.one_of(
+            st.integers(-2, 9),
+            st.integers(-2, 9),
+            st.booleans(),
+            st.floats(allow_nan=False),
+            st.text(alphabet="12a", max_size=2),
+            st.none(),
+            st.just(np.int64(3)),
+        ),
+        max_size=8,
+    ),
+    st.sampled_from([list, tuple, iter]),
+)
+def test_constructor_matches_element_by_element_reference(items, container):
+    # the same degrees and resorted flag, or the same exception naming the
+    # same value; a one-shot iterator is read once
+    got = outcome(lambda: _as_pair(DegreeSequence(container(items))))
+    assert got == outcome(lambda: _as_pair(DegreeSequenceReference(container(items))))
 
 
 @pytest.mark.parametrize(
