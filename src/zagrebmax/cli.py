@@ -46,11 +46,24 @@ def _emit(report: dict, pretty: bool) -> None:
 
 
 def _cap_arg(text: str) -> int:
-    """``--cap`` in the grammar of ``ZAGREBMAX_ORACLE_CAP``: ASCII digits only."""
+    """``--cap`` and ``sweep --n`` in the grammar of ``ZAGREBMAX_ORACLE_CAP``:
+    ASCII digits only."""
     try:
         return orc._parse_cap(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _excess_arg(text: str) -> int:
+    """``sweep --excess``: an optional ``-`` followed by ASCII digits."""
+    negative = text.startswith("-")
+    try:
+        value = orc._parse_cap(text[1:] if negative else text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not an optional '-' followed by decimal digits"
+        ) from None
+    return -value if negative else value
 
 
 def _read_graph(path: str) -> gr.SimpleGraph:
@@ -311,8 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "sweep", parents=[common], help="maxima for all sequences of given order/excess"
     )
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--excess", type=int, required=True)
+    p.add_argument("--n", type=_cap_arg, required=True)
+    p.add_argument("--excess", type=_excess_arg, required=True)
     p.add_argument("--verify-monotone", action="store_true")
     p.add_argument("--cap", type=_cap_arg, default=None)
     p.set_defaults(func=cmd_sweep)

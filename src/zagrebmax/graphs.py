@@ -72,9 +72,7 @@ class SimpleGraph:
         return list(map(len, self._adj))
 
     def has_edge(self, u: int, v: int) -> bool:
-        # the hill climb calls this in its inner loop: check plain ints inline
-        if not (type(u) is int and type(v) is int and 0 < u <= self.n and 0 < v <= self.n):
-            u, v = self._vertex(u), self._vertex(v)
+        u, v = self._vertex(u), self._vertex(v)
         return v in self._adj[u]
 
     def replace_edges(

@@ -1,12 +1,12 @@
 """Exhaustive realization search and index-monotone transformation moves.
 
 The enumerator walks adjacency rows in label order: at the first vertex
-with unmet degree it chooses that vertex's remaining neighbors among the
-later vertices, pruning, in connected mode, branches that seal off a
-component early.  A branch whose residual degrees no graph realizes yields
-nothing: each of its paths stops at a row with more unmet degree than
-candidates, if nothing cuts it sooner.  This is exact: every labeled
-realization appears exactly once, in a deterministic order.
+with unmet degree it places that vertex's remaining edges to later vertices
+one at a time, pruning, in connected mode, rows that seal off a component
+early.  A branch whose residual degrees no graph realizes yields nothing:
+each of its paths stops at a row with more unmet degree than candidates, if
+nothing cuts it sooner.  This is exact: every labeled realization appears
+exactly once, in a deterministic order.
 
 ``search_max_m2`` certifies the exact maximum of the index over all
 connected realizations by branch-and-bound over the same walk, skipping
@@ -19,16 +19,16 @@ assignments (only the canonical one when reducing up to isomorphism).
 
 The search and the isomorphism-reduced enumeration also skip interchangeable
 vertices (the vertex-transposition case of orderly generation: Read, 1978;
-McKay, 1998).  At row i, before i's neighbors are chosen, two later
-candidates j < k are twins when they have the same residual degree and the
-same adjacency so far; their target degrees then agree too.  Neither has an
-edge to a row >= i yet, so the transposition (j k) fixes every placed edge,
-the degree assignment, connectivity and the index.  A completion that takes
-k without j therefore has an isomorphic copy with the same index whose
-edge list is lexicographically smaller, and the walk takes from each twin
-class only a prefix.  The lexicographically smallest graph of every
-isomorphism class never breaks this rule, so it is still walked, in the
-same order: the branch-and-bound still ends at the lexicographically
+McKay, 1998).  At row i, before i's edges are placed, two later candidates
+j < k are twins when they have the same residual degree and the same
+adjacency so far; their target degrees then agree too.  Neither has an edge
+to a row >= i yet, so the transposition (j k) fixes every placed edge, the
+degree assignment, connectivity and the index.  A row that takes k without
+j therefore has an isomorphic copy with the same index whose edge list is
+lexicographically smaller, so the walk places an edge to k only once the
+edge to the twin before k is placed.  The lexicographically smallest graph
+of every isomorphism class never breaks this rule, so it is still walked,
+in the same order: the branch-and-bound still ends at the lexicographically
 smallest maximum, and the reduced enumeration still yields the first
 labeled representative of each class.  Plain enumeration counts labeled
 graphs and walks every one.
@@ -103,34 +103,6 @@ class _Incumbent:
     nodes: int = 0
 
 
-def _twin_combinations(
-    cand: list[int], need: int, pred: list[int]
-) -> Iterator[tuple[int, ...]]:
-    """The ``need``-subsets of ``cand`` that take from each twin class only a
-    prefix, in lexicographic order.  ``pred[p]`` is the position in ``cand``
-    of the previous member of p's class, or -1: p may be taken only when
-    that member was.  Choosing the next position r skips every position
-    before it, so a skipped member closes its class."""
-    m = len(cand)
-    taken = [False] * m
-    chosen: list[int] = []
-
-    def pick(p: int, k: int) -> Iterator[tuple[int, ...]]:
-        for r in range(p, m - k + 1):
-            q = pred[r]
-            if q < 0 or taken[q]:
-                taken[r] = True
-                chosen.append(cand[r])
-                if k == 1:
-                    yield tuple(chosen)
-                else:
-                    yield from pick(r + 1, k - 1)
-                chosen.pop()
-                taken[r] = False
-
-    return pick(0, need)
-
-
 def _iter_edges(
     targets: Sequence[int],
     connected_only: bool,
@@ -139,13 +111,13 @@ def _iter_edges(
 ) -> Iterator[tuple[tuple[int, int], ...]]:
     """Yield each labeled realization of d(v_i) = targets[i] (0-based) once,
     as a lexicographically sorted tuple of 0-based edges, in lexicographic
-    order.  With ``connected_only`` a child is dropped as soon as the
+    order.  With ``connected_only`` a full row is dropped as soon as the
     component of its row vertex is finished short of all vertices; a child
     whose residual degrees are not graphic is entered and yields nothing.
     A leaf needs no connectivity test of its own.  The targets are positive,
-    so a leaf is reached through a placement, and that placement leaves no
-    vertex with unmet degree: the prune has already dropped it unless the
-    component of its row vertex is every vertex.
+    so a leaf is reached through a row, and that row leaves no vertex with
+    unmet degree: the prune has already dropped it unless the component of
+    its row vertex is every vertex.
 
     With an ``incumbent`` the walk is a branch-and-bound for the largest
     index (``targets`` must be non-increasing): a child is entered only if
@@ -158,14 +130,15 @@ def _iter_edges(
 
     With ``twins`` the walk skips interchangeable vertices.  At row i the
     candidates j < k are twins when ``res[j] == res[k]`` and
-    ``adj[j] == adj[k]`` (target = residual + placed degree, so the targets
-    agree), and a combination may take k only if it also takes j.  The
-    transposition (j k) fixes every edge placed so far, so a graph that
-    takes k without j has a lexicographically smaller isomorphic copy with
-    the same index on this walk.  The lexicographically smallest graph of
-    each isomorphism class is therefore still yielded, in the same order,
-    and so is the lexicographically smallest maximum; the other labeled
-    graphs are not, so counting needs ``twins`` off.
+    ``adj[j] == adj[k]`` before the row (target = residual + placed degree,
+    so the targets agree), and the row places an edge to k only if the edge
+    to the twin before k is already placed.  The transposition (j k) fixes
+    every earlier edge, so a graph that takes k without j has a
+    lexicographically smaller isomorphic copy with the same index on this
+    walk.  The lexicographically smallest graph of each isomorphism class is
+    therefore still yielded, in the same order, and so is the
+    lexicographically smallest maximum; the other labeled graphs are not, so
+    counting needs ``twins`` off.
     """
     n = len(targets)
     full = (1 << n) - 1
@@ -173,19 +146,22 @@ def _iter_edges(
     adj = [0] * n
     edges: list[tuple[int, int]] = []
 
-    def component(v: int) -> int:
-        comp = 1 << v
-        frontier = comp
+    def sealed(v: int) -> bool:
+        """Whether v's component has no vertex with unmet degree and is not
+        every vertex."""
+        comp = frontier = 1 << v
         while frontier:
             nxt = 0
-            f = frontier
-            while f:
-                low = f & -f
-                nxt |= adj[low.bit_length() - 1]
-                f ^= low
+            while frontier:
+                low = frontier & -frontier
+                u = low.bit_length() - 1
+                if res[u]:
+                    return False
+                nxt |= adj[u]
+                frontier ^= low
             frontier = nxt & ~comp
             comp |= frontier
-        return comp
+        return comp != full
 
     def pairing(start: int) -> int:
         total = 0
@@ -203,7 +179,34 @@ def _iter_edges(
                     carry = t
         return total
 
-    def rec(i: int, m2: int) -> Iterator[tuple[tuple[int, int], ...]]:
+    def pick(i: int, cand: list[int], pred: list[int], p: int, m2: int) -> Iterator[int]:
+        """Place i's remaining edges to cand[p:] one at a time, and yield the
+        index so far at each full row.  pred[r] is the twin before cand[r],
+        or -1; cand[r] is taken only once that twin is adjacent to i."""
+        bit_i = 1 << i
+        t_i = targets[i]
+        for r in range(p, len(cand) - res[i] + 1):
+            q = pred[r]
+            if q >= 0 and not adj[i] >> q & 1:
+                continue
+            j = cand[r]
+            res[i] -= 1
+            res[j] -= 1
+            adj[i] |= 1 << j
+            adj[j] |= bit_i
+            edges.append((i, j))
+            placed = m2 + t_i * targets[j]
+            if res[i]:
+                yield from pick(i, cand, pred, r + 1, placed)
+            else:
+                yield placed
+            edges.pop()
+            adj[i] ^= 1 << j
+            adj[j] ^= bit_i
+            res[j] += 1
+            res[i] += 1
+
+    def row(i: int, m2: int) -> Iterator[tuple[tuple[int, int], ...]]:
         if incumbent is not None:
             incumbent.nodes += 1
         while i < n and res[i] == 0:
@@ -213,54 +216,24 @@ def _iter_edges(
                 incumbent.m2 = m2
             yield tuple(edges)
             return
-        need = res[i]
         cand = [j for j in range(i + 1, n) if res[j] > 0]
-        bit_i = 1 << i
-        t_i = targets[i]
-        placed = 0
+        pred = [-1] * len(cand)
         if twins:
             last: dict[tuple[int, int], int] = {}
-            pred = []
-            for p, j in enumerate(cand):
+            for r, j in enumerate(cand):
                 key = (res[j], adj[j])
-                pred.append(last.get(key, -1))
-                last[key] = p
-            combos = _twin_combinations(cand, need, pred)
-        else:
-            combos = combinations(cand, need)
-        for combo in combos:
-            res[i] = 0
-            for j in combo:
-                res[j] -= 1
-            good = True
-            if incumbent is not None:
-                placed = m2 + t_i * sum(targets[j] for j in combo)
-                good = placed + pairing(i + 1) > incumbent.m2
-            if good:
-                for j in combo:
-                    adj[i] |= 1 << j
-                    adj[j] |= bit_i
-                if connected_only:
-                    comp = component(i)
-                    if comp != full:
-                        live = 0
-                        for v in range(n):
-                            if res[v] > 0:
-                                live |= 1 << v
-                        if comp & live == 0:
-                            good = False
-                if good:
-                    edges.extend((i, j) for j in combo)
-                    yield from rec(i + 1, placed)
-                    del edges[len(edges) - need :]
-                for j in combo:
-                    adj[i] ^= 1 << j
-                    adj[j] ^= bit_i
-            for j in combo:
-                res[j] += 1
-            res[i] = need
+                pred[r] = last.get(key, -1)
+                last[key] = j
+        # recursing from this loop, not through pick, keeps the stack at
+        # one frame per row plus one row's edges
+        for placed in pick(i, cand, pred, 0, m2):
+            if incumbent is not None and placed + pairing(i + 1) <= incumbent.m2:
+                continue
+            if connected_only and sealed(i):
+                continue
+            yield from row(i + 1, placed)
 
-    yield from rec(0, 0)
+    yield from row(0, 0)
 
 
 def _distinct_assignments(degrees: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
@@ -415,10 +388,9 @@ def hill_climb(g: SimpleGraph) -> tuple[SimpleGraph, list[EdgeSwap]]:
             if a in (c, e) or b in (c, e):
                 continue
             for v1, u1, v2, u2 in ((a, b, c, e), (a, b, e, c)):
-                if g.has_edge(v1, v2) or g.has_edge(u1, u2):
+                if (deg[v1] - deg[u2]) * (deg[v2] - deg[u1]) <= 0:
                     continue
-                gain = (deg[v1] - deg[u2]) * (deg[v2] - deg[u1])
-                if gain <= 0:
+                if g.has_edge(v1, v2) or g.has_edge(u1, u2):
                     continue
                 move = EdgeSwap(v1, u1, v2, u2)
                 candidate = apply_edge_swap(g, move)

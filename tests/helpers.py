@@ -10,7 +10,7 @@ optima with the same index.
 import math
 from dataclasses import dataclass, field
 from itertools import combinations, permutations
-from typing import Iterable
+from typing import Iterable, Iterator, Optional, Sequence
 
 from zagrebmax import (
     CapExceededError,
@@ -23,7 +23,7 @@ from zagrebmax import (
     majorization_compare,
     MajorizationOrder,
 )
-from zagrebmax.oracle import _distinct_assignments, _Incumbent, _iter_edges
+from zagrebmax.oracle import _distinct_assignments, _Incumbent
 from zagrebmax.sequences import _as_int
 
 SEVEN_VERTEX_GREEDY = SimpleGraph(
@@ -320,6 +320,172 @@ def canonical_form_by_permutations(g, perm_cap=2_000_000):
     return best
 
 
+# --- the realization walk by whole combinations, kept as the reference ------
+#
+# oracle._iter_edges and its twin-class subset generator as they were before
+# the walk placed each edge of a row on its own; the only change is the names.
+
+
+def twin_combinations(
+    cand: list[int], need: int, pred: list[int]
+) -> Iterator[tuple[int, ...]]:
+    """The ``need``-subsets of ``cand`` that take from each twin class only a
+    prefix, in lexicographic order.  ``pred[p]`` is the position in ``cand``
+    of the previous member of p's class, or -1: p may be taken only when
+    that member was.  Choosing the next position r skips every position
+    before it, so a skipped member closes its class."""
+    m = len(cand)
+    taken = [False] * m
+    chosen: list[int] = []
+
+    def pick(p: int, k: int) -> Iterator[tuple[int, ...]]:
+        for r in range(p, m - k + 1):
+            q = pred[r]
+            if q < 0 or taken[q]:
+                taken[r] = True
+                chosen.append(cand[r])
+                if k == 1:
+                    yield tuple(chosen)
+                else:
+                    yield from pick(r + 1, k - 1)
+                chosen.pop()
+                taken[r] = False
+
+    return pick(0, need)
+
+
+def iter_edges_by_combinations(
+    targets: Sequence[int],
+    connected_only: bool,
+    incumbent: Optional[_Incumbent] = None,
+    twins: bool = False,
+) -> Iterator[tuple[tuple[int, int], ...]]:
+    """Yield each labeled realization of d(v_i) = targets[i] (0-based) once,
+    as a lexicographically sorted tuple of 0-based edges, in lexicographic
+    order.  With ``connected_only`` a child is dropped as soon as the
+    component of its row vertex is finished short of all vertices; a child
+    whose residual degrees are not graphic is entered and yields nothing.
+    A leaf needs no connectivity test of its own.  The targets are positive,
+    so a leaf is reached through a placement, and that placement leaves no
+    vertex with unmet degree: the prune has already dropped it unless the
+    component of its row vertex is every vertex.
+
+    With an ``incumbent`` the walk is a branch-and-bound for the largest
+    index (``targets`` must be non-increasing): a child is entered only if
+    the index of its placed edges plus the best pairing of the remaining
+    stubs exceeds ``incumbent.m2``.  That pairing lists each vertex's target
+    degree once per remaining stub, in descending order, and sums
+    w0*w1 + w2*w3 + ...; by the rearrangement inequality no completion does
+    better.  Each leaf yielded then beats every earlier one, so the last is
+    the lexicographically smallest maximum.
+
+    With ``twins`` the walk skips interchangeable vertices.  At row i the
+    candidates j < k are twins when ``res[j] == res[k]`` and
+    ``adj[j] == adj[k]`` (target = residual + placed degree, so the targets
+    agree), and a combination may take k only if it also takes j.  The
+    transposition (j k) fixes every edge placed so far, so a graph that
+    takes k without j has a lexicographically smaller isomorphic copy with
+    the same index on this walk.  The lexicographically smallest graph of
+    each isomorphism class is therefore still yielded, in the same order,
+    and so is the lexicographically smallest maximum; the other labeled
+    graphs are not, so counting needs ``twins`` off.
+    """
+    n = len(targets)
+    full = (1 << n) - 1
+    res = list(targets)
+    adj = [0] * n
+    edges: list[tuple[int, int]] = []
+
+    def component(v: int) -> int:
+        comp = 1 << v
+        frontier = comp
+        while frontier:
+            nxt = 0
+            f = frontier
+            while f:
+                low = f & -f
+                nxt |= adj[low.bit_length() - 1]
+                f ^= low
+            frontier = nxt & ~comp
+            comp |= frontier
+        return comp
+
+    def pairing(start: int) -> int:
+        total = 0
+        carry = 0
+        for v in range(start, n):
+            r = res[v]
+            if r:
+                t = targets[v]
+                if carry:
+                    total += carry * t
+                    r -= 1
+                    carry = 0
+                total += (r >> 1) * t * t
+                if r & 1:
+                    carry = t
+        return total
+
+    def rec(i: int, m2: int) -> Iterator[tuple[tuple[int, int], ...]]:
+        if incumbent is not None:
+            incumbent.nodes += 1
+        while i < n and res[i] == 0:
+            i += 1
+        if i == n:
+            if incumbent is not None:
+                incumbent.m2 = m2
+            yield tuple(edges)
+            return
+        need = res[i]
+        cand = [j for j in range(i + 1, n) if res[j] > 0]
+        bit_i = 1 << i
+        t_i = targets[i]
+        placed = 0
+        if twins:
+            last: dict[tuple[int, int], int] = {}
+            pred = []
+            for p, j in enumerate(cand):
+                key = (res[j], adj[j])
+                pred.append(last.get(key, -1))
+                last[key] = p
+            combos = twin_combinations(cand, need, pred)
+        else:
+            combos = combinations(cand, need)
+        for combo in combos:
+            res[i] = 0
+            for j in combo:
+                res[j] -= 1
+            good = True
+            if incumbent is not None:
+                placed = m2 + t_i * sum(targets[j] for j in combo)
+                good = placed + pairing(i + 1) > incumbent.m2
+            if good:
+                for j in combo:
+                    adj[i] |= 1 << j
+                    adj[j] |= bit_i
+                if connected_only:
+                    comp = component(i)
+                    if comp != full:
+                        live = 0
+                        for v in range(n):
+                            if res[v] > 0:
+                                live |= 1 << v
+                        if comp & live == 0:
+                            good = False
+                if good:
+                    edges.extend((i, j) for j in combo)
+                    yield from rec(i + 1, placed)
+                    del edges[len(edges) - need :]
+                for j in combo:
+                    adj[i] ^= 1 << j
+                    adj[j] ^= bit_i
+            for j in combo:
+                res[j] += 1
+            res[i] = need
+
+    yield from rec(0, 0)
+
+
 def iso_reduced_over_all_assignments(seq, connected_only=True):
     """Reference isomorphism-reduced enumeration: walk every distinct degree
     assignment and keep the first graph of each class by the reference
@@ -327,7 +493,7 @@ def iso_reduced_over_all_assignments(seq, connected_only=True):
     seen = set()
     out = []
     for assignment in _distinct_assignments(seq.degrees):
-        for edges in _iter_edges(assignment, connected_only):
+        for edges in iter_edges_by_combinations(assignment, connected_only):
             g = SimpleGraph(seq.n, [(u + 1, v + 1) for u, v in edges])
             key = canonical_form_by_permutations(g)
             if key not in seen:
@@ -342,7 +508,7 @@ def search_unpruned(seq):
     maximal edge tuple with 1-based labels, nodes entered)."""
     incumbent = _Incumbent()
     best = None
-    for best in _iter_edges(seq.degrees, True, incumbent):
+    for best in iter_edges_by_combinations(seq.degrees, True, incumbent):
         pass
     return incumbent.m2, tuple((u + 1, v + 1) for u, v in best), incumbent.nodes
 
@@ -353,7 +519,7 @@ def iso_reduced_unpruned(seq, connected_only=True):
     form.  Returns the edge tuples in walk order."""
     seen = set()
     out = []
-    for edges in _iter_edges(seq.degrees, connected_only):
+    for edges in iter_edges_by_combinations(seq.degrees, connected_only):
         g = SimpleGraph(seq.n, [(u + 1, v + 1) for u, v in edges])
         key = canonical_form(g)
         if key not in seen:

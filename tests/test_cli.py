@@ -227,6 +227,33 @@ def test_cap_flag_takes_digits_only(raw, capsys):
         assert f"argument --cap: {raw!r} is not a run of decimal digits" in err
 
 
+@pytest.mark.parametrize("raw", ["1_0", "+5", " 5", "5 ", "-5", "５", "0x5"])
+def test_sweep_n_takes_digits_only(raw, capsys):
+    # int() reads "1_0" as 10 and "５" as 5; --n takes the grammar of --cap
+    code, out, err = _main_in_process(("sweep", "--n", raw, "--excess", "0"), capsys)
+    assert (code, out) == (2, "")
+    assert f"argument --n: {raw!r} is not a run of decimal digits" in err
+
+
+@pytest.mark.parametrize("raw", [" -1", "-1 ", "+1", "1_0", "-１", "－1", "0x1", "-"])
+def test_sweep_excess_takes_an_optional_minus_and_digits(raw, capsys):
+    # int() reads " -1" as -1 and "1_0" as 10
+    code, out, err = _main_in_process(("sweep", "--n", "5", "--excess", raw), capsys)
+    assert (code, out) == (2, "")
+    assert f"argument --excess: {raw!r} is not an optional '-' followed by decimal digits" in err
+
+
+def test_sweep_reads_signed_excess_and_leading_zeros(capsys):
+    for argv, inputs in (
+        (("--n", "05", "--excess", "-1"), {"excess": -1, "n": 5}),
+        (("--n", "5", "--excess=-01"), {"excess": -1, "n": 5}),
+        (("--n", "6", "--excess", "-0"), {"excess": 0, "n": 6}),
+    ):
+        code, out, err = _main_in_process(("sweep", *argv), capsys)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["inputs"] == inputs
+
+
 def test_cap_flag_and_env_var_take_leading_zeros(monkeypatch, capsys):
     monkeypatch.setenv("ZAGREBMAX_ORACLE_CAP", "04")
     assert _main_in_process(("oracle", "4,2,2,2,2"), capsys)[0] == 3

@@ -33,10 +33,16 @@ from helpers import (
     brute_force_maxima,
     iso_reduced_over_all_assignments,
     iso_reduced_unpruned,
+    iter_edges_by_combinations,
     search_unpruned,
+    twin_combinations,
     valid_swaps,
 )
-from zagrebmax.sequences import connected_realizable_sequences
+from zagrebmax.sequences import (
+    MajorizationOrder,
+    connected_realizable_sequences,
+    majorization_compare,
+)
 
 
 def cycle(n):
@@ -135,8 +141,8 @@ def test_twin_pruned_iso_reduction_matches_the_unpruned_walk():
 
 
 def test_twin_combinations_are_the_prefix_respecting_subsets():
-    # against filtering every subset: a class member may be taken only if
-    # the member before it is
+    # the reference walk's subset generator, against filtering every subset:
+    # a class member may be taken only if the member before it is
     rng = random.Random(9)
     for _ in range(300):
         m = rng.randint(1, 9)
@@ -152,7 +158,60 @@ def test_twin_combinations_are_the_prefix_respecting_subsets():
                 for combo in combinations(range(m), k)
                 if all(pred[p] < 0 or pred[p] in combo for p in combo)
             ]
-            assert list(orc._twin_combinations(cand, k, pred)) == want, (labels, k)
+            assert list(twin_combinations(cand, k, pred)) == want, (labels, k)
+
+
+def _assert_same_walk(targets, modes, with_incumbent):
+    for connected_only, twins in modes:
+        got = list(orc._iter_edges(targets, connected_only, twins=twins))
+        want = list(iter_edges_by_combinations(targets, connected_only, twins=twins))
+        assert got == want, (targets, connected_only, twins)
+    if not with_incumbent:
+        return
+    for connected_only in (False, True):
+        for twins in (False, True):
+            a, b = orc._Incumbent(), orc._Incumbent()
+            got = list(orc._iter_edges(targets, connected_only, a, twins))
+            want = list(iter_edges_by_combinations(targets, connected_only, b, twins))
+            assert (got, a.nodes, a.m2) == (want, b.nodes, b.m2), (
+                targets,
+                connected_only,
+                twins,
+            )
+
+
+def test_walk_matches_the_walk_by_whole_combinations_on_every_assignment():
+    # the same edge stream, and with an incumbent the same nodes and maximum,
+    # as the walk that built each row as one combination, in every mode; the
+    # incumbent needs non-increasing targets, so it runs on the sorted
+    # assignment only
+    every_mode = [(c, t) for c in (False, True) for t in (False, True)]
+    for n in range(1, 7):
+        for degrees in combinations_with_replacement(range(n - 1, 0, -1), n):
+            if sq.is_graphic(degrees):
+                for targets in orc._distinct_assignments(degrees):
+                    _assert_same_walk(targets, every_mode, targets == degrees)
+
+
+def test_walk_matches_the_walk_by_whole_combinations_up_to_n9():
+    # plain enumeration of these n = 9 sequences yields over a million
+    # graphs, so only the twin modes and the incumbent walks run here
+    checked = 0
+    for n in range(7, 10):
+        for c in range(-1, 4):
+            for seq in connected_realizable_sequences(n, c):
+                _assert_same_walk(seq.degrees, [(False, True), (True, True)], True)
+                checked += 1
+    assert checked == 437
+
+
+def test_search_depth_is_rows_plus_one_row():
+    # K_60: 60 search nodes, one per row and the leaf.  The stack holds a
+    # frame per row and per edge of the current row; a frame per placed edge
+    # (1,770 here) would pass the interpreter's recursion limit
+    res = search_max_m2(DegreeSequence.parse("59^60"), cap=60)
+    assert res.nodes == 60
+    assert res.max_m2 == 59 * 59 * 60 * 59 // 2
 
 
 def test_distinct_assignments_match_the_permutation_set():
@@ -313,6 +372,60 @@ def test_search_matches_brute_force_maxima_up_to_n6():
             assert res.witness.edges == edges, seq.to_text()
             checked += 1
     assert checked == 96
+
+
+def test_majorization_monotonicity_census_up_to_n11():
+    # every comparable pair of connected-realizable sequences with n <= 11:
+    # the oracle's maximum grows strictly along the majorization order for
+    # c <= 2 and fails from c = 3 on, with these ties and decreases
+    want = {
+        -1: (805, []),
+        0: (2095, []),
+        1: (4514, []),
+        2: (10481, []),
+        3: (
+            19856,
+            [
+                ("5,5,3,2,2,2,1", "6,4,3,2,2,2,1", 118, 118),
+                ("5,5,3,3,3,3,1^4", "6,4,3,3,3,3,1^4", 157, 156),
+                ("6,5,3,3,3,3,1^5", "7,4,3,3,3,3,1^5", 180, 180),
+            ],
+        ),
+        4: (
+            37704,
+            [
+                ("5,5,3,3,3,2,1", "6,4,3,3,3,2,1", 147, 147),
+                ("5,5,3,3,3,3,1,1", "6,4,3,3,3,3,1,1", 160, 159),
+                ("6,6,3,2,2,2,2,1", "7,5,3,2,2,2,2,1", 171, 170),
+                ("6,5,3,3,3,3,1^3", "7,4,3,3,3,3,1^3", 183, 183),
+                ("6,6,4,2,2,2,2,1,1", "7,5,4,2,2,2,2,1,1", 188, 188),
+                ("7,6,2^6,1", "8,5,2^6,1", 188, 188),
+                ("7,6,3,2,2,2,2,1,1", "8,5,3,2,2,2,2,1,1", 195, 195),
+            ],
+        ),
+    }
+    for c, (want_pairs, want_violations) in want.items():
+        pairs = 0
+        violations = []
+        for n in range(2, 12):
+            seqs = connected_realizable_sequences(n, c)
+            maxima = {seq: search_max_m2(seq, cap=n).max_m2 for seq in seqs}
+            for a, b in combinations(seqs, 2):
+                order = majorization_compare(a, b)
+                if order == MajorizationOrder.A_BELOW_B:
+                    lo, hi = a, b
+                elif order == MajorizationOrder.B_BELOW_A:
+                    lo, hi = b, a
+                else:
+                    continue
+                pairs += 1
+                if maxima[lo] >= maxima[hi]:
+                    violations.append((lo, hi, maxima[lo], maxima[hi]))
+        expected = [
+            (DegreeSequence.parse(lo), DegreeSequence.parse(hi), m_lo, m_hi)
+            for lo, hi, m_lo, m_hi in want_violations
+        ]
+        assert (pairs, violations) == (want_pairs, expected), c
 
 
 # --- edge swaps -----------------------------------------------------------------
