@@ -1,14 +1,17 @@
 """Command-line frontend.
 
 Commands: validate, construct, m2, bicyclic-max, oracle, improve,
-majorize, sweep.  Output is a single JSON report on stdout (``--pretty``
-renders an indented view); exit codes: 0 success, 1 domain rejection,
-2 parse error, 3 resource cap.
+majorize, sweep.  Each ``cmd_*`` returns ``(result, warnings)``, or ``None``
+once it has written its own output.  ``main`` wraps them in the JSON report
+``{command, inputs, result, warnings}`` on stdout (``--pretty`` renders an
+indented view) and maps errors to exit codes: 0 success, 1 domain
+rejection, 2 parse error, 3 resource cap.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
@@ -26,15 +29,6 @@ EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_PARSE = 2
 EXIT_CAP = 3
-
-
-def _report(command: str, inputs: dict, result: Any, warnings: list[str]) -> dict:
-    return {
-        "command": command,
-        "inputs": inputs,
-        "result": result,
-        "warnings": warnings,
-    }
 
 
 def _emit(report: dict, pretty: bool) -> None:
@@ -75,20 +69,12 @@ def _read_graph(path: str) -> gr.SimpleGraph:
     return gr.parse_edge_list(text)
 
 
-def cmd_validate(args) -> dict:
+def cmd_validate(args) -> tuple[dict, list[str]]:
     seq = sq.DegreeSequence.parse(args.sequence)
     warnings = ["input was not non-increasing; sorted"] if seq.resorted else []
     graphic = sq.is_graphic(seq)
     realizable = sq.is_connected_realizable(seq)
-    cls = None
-    if realizable:
-        c = sq.classify(seq)
-        cls = {
-            "excess": c.excess,
-            "kind": c.kind,
-            "leaf_count": c.leaf_count,
-            "degree2_count": c.degree2_count,
-        }
+    cls = dataclasses.asdict(sq.classify(seq)) if realizable else None
     rep = sq.check_optimality_conditions(seq)
     result = {
         "sequence": seq.to_text(),
@@ -103,17 +89,15 @@ def cmd_validate(args) -> dict:
             "verdict": rep.verdict,
         },
     }
-    return _report("validate", {"sequence": args.sequence}, result, warnings)
+    return result, warnings
 
 
-def cmd_construct(args) -> Optional[dict]:
+def cmd_construct(args) -> Optional[tuple[dict, list[str]]]:
     seq = sq.DegreeSequence.parse(args.sequence)
     trace = ctor.construct_extremal(seq)
-    if args.format == "edges":
-        sys.stdout.write(gr.serialize_edge_list(trace.graph))
-        return None
-    if args.format == "dot":
-        sys.stdout.write(gr.to_dot(trace.graph))
+    if args.format != "json":
+        write = gr.serialize_edge_list if args.format == "edges" else gr.to_dot
+        sys.stdout.write(write(trace.graph))
         return None
     result = {
         "sequence": seq.to_text(),
@@ -125,12 +109,10 @@ def cmd_construct(args) -> Optional[dict]:
         "layers": list(trace.layers),
         "triangles": [list(t) for t in trace.triangles],
     }
-    return _report(
-        "construct", {"sequence": args.sequence}, result, list(trace.warnings)
-    )
+    return result, list(trace.warnings)
 
 
-def cmd_m2(args) -> dict:
+def cmd_m2(args) -> tuple[dict, list[str]]:
     g = _read_graph(args.graph)
     result = {
         "n": g.n,
@@ -138,10 +120,10 @@ def cmd_m2(args) -> dict:
         "m2": gr.second_zagreb(g),
         "degree_sequence": gr.degree_sequence_of(g).to_text(),
     }
-    return _report("m2", {"graph": args.graph}, result, [])
+    return result, []
 
 
-def cmd_bicyclic_max(args) -> dict:
+def cmd_bicyclic_max(args) -> tuple[dict, list[str]]:
     seq = sq.DegreeSequence.parse(args.sequence)
     res = bc.bicyclic_max_m2(seq)
     result = {
@@ -152,10 +134,10 @@ def cmd_bicyclic_max(args) -> dict:
         "params": list(res.witness.params),
         "edges": res.witness.graph.edges,
     }
-    return _report("bicyclic-max", {"sequence": args.sequence}, result, [])
+    return result, []
 
 
-def cmd_oracle(args) -> dict:
+def cmd_oracle(args) -> tuple[dict, list[str]]:
     seq = sq.DegreeSequence.parse(args.sequence)
     res = orc.search_max_m2(seq, cap=args.cap)
     result = {
@@ -166,10 +148,10 @@ def cmd_oracle(args) -> dict:
     }
     if not args.no_timing:
         result["elapsed_ms"] = round(res.elapsed * 1000.0, 3)
-    return _report("oracle", {"sequence": args.sequence}, result, [])
+    return result, []
 
 
-def cmd_improve(args) -> dict:
+def cmd_improve(args) -> tuple[dict, list[str]]:
     g = _read_graph(args.graph)
     initial = gr.second_zagreb(g)
     final_graph, moves = orc.hill_climb(g)
@@ -185,12 +167,12 @@ def cmd_improve(args) -> dict:
         ],
         "edges": final_graph.edges,
     }
-    return _report("improve", {"graph": args.graph}, result, [])
+    return result, []
 
 
-def cmd_majorize(args) -> dict:
-    a = sq.DegreeSequence.parse(args.seq_a)
-    b = sq.DegreeSequence.parse(args.seq_b)
+def cmd_majorize(args) -> tuple[dict, list[str]]:
+    a = sq.DegreeSequence.parse(args.a)
+    b = sq.DegreeSequence.parse(args.b)
     order = sq.majorization_compare(a, b)
     result: dict[str, Any] = {
         "a": a.to_text(),
@@ -204,9 +186,7 @@ def cmd_majorize(args) -> dict:
             result["chain_length"] = len(chain)
         else:
             result["chain"] = None
-    return _report(
-        "majorize", {"a": args.seq_a, "b": args.seq_b}, result, []
-    )
+    return result, []
 
 
 def _max_for(seq: sq.DegreeSequence, excess: int, cap: int) -> tuple[int, str]:
@@ -215,7 +195,7 @@ def _max_for(seq: sq.DegreeSequence, excess: int, cap: int) -> tuple[int, str]:
     return orc.search_max_m2(seq, cap=cap).max_m2, "oracle"
 
 
-def cmd_sweep(args) -> dict:
+def cmd_sweep(args) -> tuple[dict, list[str]]:
     cap = args.cap if args.cap is not None else orc.default_cap()
     if args.n > cap:
         raise CapExceededError(f"n = {args.n} exceeds the oracle cap {cap}")
@@ -259,12 +239,7 @@ def cmd_sweep(args) -> dict:
                 )
         result["checked_pairs"] = checked
         result["violations"] = violations
-    return _report(
-        "sweep",
-        {"n": args.n, "excess": args.excess},
-        result,
-        [],
-    )
+    return result, []
 
 
 @functools.cache
@@ -280,24 +255,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", parents=[common], help="classify a degree sequence")
     p.add_argument("sequence", help='e.g. "4,4,3,3,2,1,1" or "4^5,1^8"')
-    p.set_defaults(func=cmd_validate)
+    p.set_defaults(func=cmd_validate, inputs=("sequence",))
 
     p = sub.add_parser(
         "construct", parents=[common], help="build the layered candidate-extremal graph"
     )
     p.add_argument("sequence")
     p.add_argument("--format", choices=["edges", "dot", "json"], default="json")
-    p.set_defaults(func=cmd_construct)
+    p.set_defaults(func=cmd_construct, inputs=("sequence",))
 
     p = sub.add_parser("m2", parents=[common], help="second Zagreb index of a graph file")
     p.add_argument("graph", help="edge-list file")
-    p.set_defaults(func=cmd_m2)
+    p.set_defaults(func=cmd_m2, inputs=("graph",))
 
     p = sub.add_parser(
         "bicyclic-max", parents=[common], help="closed-form bicyclic maximum"
     )
     p.add_argument("sequence")
-    p.set_defaults(func=cmd_bicyclic_max)
+    p.set_defaults(func=cmd_bicyclic_max, inputs=("sequence",))
 
     p = sub.add_parser(
         "oracle", parents=[common], help="exact maximum by branch-and-bound search"
@@ -307,19 +282,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--no-timing", action="store_true", help="omit timing for byte-identical output"
     )
-    p.set_defaults(func=cmd_oracle)
+    p.set_defaults(func=cmd_oracle, inputs=("sequence",))
 
     p = sub.add_parser("improve", parents=[common], help="hill-climb a graph file")
     p.add_argument("graph")
-    p.set_defaults(func=cmd_improve)
+    p.set_defaults(func=cmd_improve, inputs=("graph",))
 
     p = sub.add_parser(
         "majorize", parents=[common], help="compare two sequences in dominance order"
     )
-    p.add_argument("seq_a")
-    p.add_argument("seq_b")
+    p.add_argument("a", metavar="seq_a")
+    p.add_argument("b", metavar="seq_b")
     p.add_argument("--chain", action="store_true", help="emit the unit-transfer chain")
-    p.set_defaults(func=cmd_majorize)
+    p.set_defaults(func=cmd_majorize, inputs=("a", "b"))
 
     p = sub.add_parser(
         "sweep", parents=[common], help="maxima for all sequences of given order/excess"
@@ -328,25 +303,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--excess", type=_excess_arg, required=True)
     p.add_argument("--verify-monotone", action="store_true")
     p.add_argument("--cap", type=_cap_arg, default=None)
-    p.set_defaults(func=cmd_sweep)
+    p.set_defaults(func=cmd_sweep, inputs=("n", "excess"))
     return parser
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        report = args.func(args)
-    except ParseError as exc:
+        out = args.func(args)
+    except (ParseError, CapExceededError, DomainError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
-        return EXIT_PARSE
-    except CapExceededError as exc:
-        print(json.dumps({"error": str(exc)}), file=sys.stderr)
-        return EXIT_CAP
-    except DomainError as exc:
-        print(json.dumps({"error": str(exc)}), file=sys.stderr)
-        return EXIT_DOMAIN
-    if report is not None:
+        if isinstance(exc, ParseError):
+            return EXIT_PARSE
+        return EXIT_CAP if isinstance(exc, CapExceededError) else EXIT_DOMAIN
+    if out is not None:
+        result, warnings = out
+        inputs = {key: getattr(args, key) for key in args.inputs}
+        report = dict(
+            command=args.command, inputs=inputs, result=result, warnings=warnings
+        )
         _emit(report, args.pretty)
     return EXIT_OK
 

@@ -144,6 +144,20 @@ def test_non_ascii_graph_file_is_a_parse_error(command, tmp_path):
     assert str(path) in json.loads(lines[0])["error"]
 
 
+@pytest.mark.parametrize("command", ["m2", "improve"])
+def test_graph_file_report_names_command_and_path(command, tmp_path, capsys):
+    # the golden file calls no file-reading command; pin their envelope here
+    path = tmp_path / "tri.edges"
+    path.write_text("3 3\n1 2\n1 3\n2 3\n")
+    code, out, err = _main_in_process((command, str(path)), capsys)
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert sorted(report) == ["command", "inputs", "result", "warnings"]
+    assert report["command"] == command
+    assert report["inputs"] == {"graph": str(path)}
+    assert report["warnings"] == []
+
+
 def test_improve_reports_the_blocked_climb(tmp_path):
     # the greedy 7-vertex graph has no connectivity-preserving improving swap
     path = tmp_path / "greedy.edges"
@@ -338,6 +352,14 @@ def test_majorize_with_chain():
     assert out["result"]["chain"] == ["3,3,2,2,2", "4,2,2,2,2"]
 
 
+def test_majorize_usage_names_both_sequences(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = _main_in_process(("majorize", "--help"), capsys)
+    assert (code, err) == (0, "")
+    assert "[--chain] seq_a seq_b" in out
+    assert out.count("seq_a") == out.count("seq_b") == 2
+
+
 def test_majorize_incomparable():
     out = run_json("majorize", "3,3,3,2,1", "4,2,2,2,2", "--chain")
     assert out["result"]["order"] == "incomparable"
@@ -365,6 +387,45 @@ def test_sweep_trees_match_construction():
     # canonical row order: ascending lexicographic by sequence
     seqs = [row["sequence"] for row in out["result"]["sequences"]]
     assert seqs == sorted(seqs)
+
+
+# per n: checked pairs for c = -1..4, and the violations, all at c = 4, as
+# (below, above, max_below, max_above)
+SWEEP_CENSUS = {
+    12: (
+        (776, 2054, 4627, 11026, 22348, 45622),
+        [
+            ("6,6,3,3,3,3,3,1,1,1,1,1", "7,5,3,3,3,3,3,1,1,1,1,1", 231, 228),
+            ("6,6,3,3,3,3,3,1,1,1,1,1", "8,4,3,3,3,3,3,1,1,1,1,1", 231, 231),
+        ],
+    ),
+    13: (
+        (1370, 3683, 8400, 20214, 41723, 87019),
+        [
+            ("6,6,4,3,3,3,3,1,1,1,1,1,1", "7,5,4,3,3,3,3,1,1,1,1,1,1", 248, 247),
+            ("7,6,3,3,3,3,3,1,1,1,1,1,1", "8,5,3,3,3,3,3,1,1,1,1,1,1", 259, 257),
+        ],
+    ),
+}
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("n", sorted(SWEEP_CENSUS))
+def test_sweep_majorization_census(n, capsys):
+    # test_oracle's census stops at n = 11; c <= 3 stay free of violations
+    pairs, violations = SWEEP_CENSUS[n]
+    at_c4 = [
+        {"above": hi, "below": lo, "kind": "tie" if m_lo == m_hi else "decrease",
+         "max_above": m_hi, "max_below": m_lo}
+        for lo, hi, m_lo, m_hi in violations
+    ]
+    for c, want in zip(range(-1, 5), pairs):
+        argv = ("sweep", "--n", str(n), "--excess", str(c), "--verify-monotone")
+        code, out, err = _main_in_process(argv + ("--cap", str(n)), capsys)
+        assert (code, err) == (0, "")
+        result = json.loads(out)["result"]
+        assert result["checked_pairs"] == want, c
+        assert result["violations"] == (at_c4 if c == 4 else []), c
 
 
 def test_sweep_cap_guard():

@@ -171,45 +171,66 @@ def test_excess_three_generalizes():
     assert second_zagreb(trace.graph) == 127 == search_max_m2(seq).max_m2
 
 
+def _admissible_match_oracle(n):
+    """Assert the construction attains the oracle's maximum on every
+    admissible sequence of order n; return how many there are."""
+    count = 0
+    for seq in _admissible(n):
+        got = second_zagreb(construct_extremal(seq).graph)
+        assert got == search_max_m2(seq, cap=n).max_m2, seq.to_text()
+        count += 1
+    return count
+
+
 def test_admissible_sequences_match_oracle_at_n9_to_n12():
-    # extends the n <= 8 acceptance sweep four orders further, and from
-    # excess -1..2 to -1..8
-    for n, expected in ((9, 111), (10, 180), (11, 274), (12, 411)):
-        count = 0
-        for seq in _admissible(n):
-            got = second_zagreb(construct_extremal(seq).graph)
-            assert got == search_max_m2(seq, cap=n).max_m2, seq.to_text()
-            count += 1
-        assert count == expected
+    # extends the n <= 8 acceptance sweep four orders further
+    assert [_admissible_match_oracle(n) for n in range(9, 13)] == [111, 180, 274, 411]
+
+
+@pytest.mark.slow
+def test_admissible_sequences_match_oracle_at_n13_n14():
+    assert [_admissible_match_oracle(n) for n in (13, 14)] == [587, 830]
+
+
+def _condition_iii_census(n, excesses):
+    """(warned, beaten): the constructions of order n built with the (iii)
+    warning, and how many of them the oracle beats."""
+    warned = beaten = 0
+    for c in excesses:
+        for seq in connected_realizable_sequences(n, c):
+            try:
+                trace = construct_extremal(seq)
+            except DomainError:
+                continue
+            if not trace.warnings:
+                continue
+            warned += 1
+            got = second_zagreb(trace.graph)
+            best = search_max_m2(seq, cap=n).max_m2
+            assert best >= got, seq.to_text()
+            if best > got:
+                beaten += 1
+    return warned, beaten
 
 
 def test_census_of_condition_iii_failures():
     # When only (iii) fails, the construction is still built, with a
     # warning.  The paper proves optimality only under (i)-(iv); per n, over
     # c in -1..3, count the warned constructions and those the oracle beats.
-    census = []
-    for n in range(7, 13):
-        warned = beaten = 0
-        for c in range(-1, 4):
-            for seq in connected_realizable_sequences(n, c):
-                try:
-                    trace = construct_extremal(seq)
-                except DomainError:
-                    continue
-                if not trace.warnings:
-                    continue
-                warned += 1
-                got = second_zagreb(trace.graph)
-                best = search_max_m2(seq, cap=n).max_m2
-                assert best >= got, seq.to_text()
-                if best > got:
-                    beaten += 1
-        census.append((warned, beaten))
+    census = [_condition_iii_census(n, range(-1, 4)) for n in range(7, 13)]
     assert census == [(1, 1), (4, 3), (11, 8), (24, 18), (45, 34), (78, 62)]
     # the gap is not always 1
     seq = DegreeSequence.parse("4,4,3,3,2,2,1,1")
     assert second_zagreb(construct_extremal(seq).graph) == 91
     assert search_max_m2(seq).max_m2 == 93
+
+
+@pytest.mark.slow
+def test_census_of_condition_iii_failures_at_n13_n14():
+    low = [_condition_iii_census(n, range(-1, 4)) for n in (13, 14)]
+    high = [_condition_iii_census(n, range(4, 9)) for n in (13, 14)]
+    assert low == [(126, 102), (195, 159)]
+    assert high == [(99, 57), (198, 122)]
 
 
 # --- ordering verification ----------------------------------------------------
