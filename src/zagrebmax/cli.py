@@ -14,6 +14,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import os
 import sys
 from itertools import combinations
 from typing import Any, Optional
@@ -39,12 +40,14 @@ def _emit(report: dict, pretty: bool) -> None:
         print(json.dumps(report, sort_keys=True, separators=(",", ":")))
 
 
-def _cap_arg(text: str) -> int:
-    """``--cap`` and ``sweep --n`` in the grammar of ``ZAGREBMAX_ORACLE_CAP``:
-    ASCII digits only."""
+def _digits(text: str) -> int:
+    """``--cap``, ``--n`` and ``ZAGREBMAX_ORACLE_CAP``: a run of ASCII digits,
+    like a graph-file field (no sign, underscore or whitespace)."""
+    if not sq._is_digits(text):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a run of decimal digits")
     try:
-        return orc._parse_cap(text)
-    except ValueError as exc:
+        return int(text)
+    except ValueError as exc:  # past CPython's digit limit for int()
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
@@ -52,12 +55,23 @@ def _excess_arg(text: str) -> int:
     """``sweep --excess``: an optional ``-`` followed by ASCII digits."""
     negative = text.startswith("-")
     try:
-        value = orc._parse_cap(text[1:] if negative else text)
-    except ValueError:
+        value = _digits(text[1:] if negative else text)
+    except argparse.ArgumentTypeError:
         raise argparse.ArgumentTypeError(
             f"{text!r} is not an optional '-' followed by decimal digits"
         ) from None
     return -value if negative else value
+
+
+def _cap(args) -> int:
+    """``--cap``, else ``ZAGREBMAX_ORACLE_CAP``, else the library default."""
+    if args.cap is not None:
+        return args.cap
+    raw = os.environ.get("ZAGREBMAX_ORACLE_CAP")
+    try:
+        return orc.DEFAULT_CAP if raw is None else _digits(raw)
+    except argparse.ArgumentTypeError:
+        raise ParseError(f"ZAGREBMAX_ORACLE_CAP={raw!r} is not an integer") from None
 
 
 def _read_graph(path: str) -> gr.SimpleGraph:
@@ -98,6 +112,8 @@ def cmd_construct(args) -> Optional[tuple[dict, list[str]]]:
     if args.format != "json":
         write = gr.serialize_edge_list if args.format == "edges" else gr.to_dot
         sys.stdout.write(write(trace.graph))
+        if trace.warnings:
+            print(json.dumps({"warnings": list(trace.warnings)}), file=sys.stderr)
         return None
     result = {
         "sequence": seq.to_text(),
@@ -139,7 +155,7 @@ def cmd_bicyclic_max(args) -> tuple[dict, list[str]]:
 
 def cmd_oracle(args) -> tuple[dict, list[str]]:
     seq = sq.DegreeSequence.parse(args.sequence)
-    res = orc.search_max_m2(seq, cap=args.cap)
+    res = orc.search_max_m2(seq, cap=_cap(args))
     result = {
         "sequence": seq.to_text(),
         "max_m2": res.max_m2,
@@ -196,7 +212,7 @@ def _max_for(seq: sq.DegreeSequence, excess: int, cap: int) -> tuple[int, str]:
 
 
 def cmd_sweep(args) -> tuple[dict, list[str]]:
-    cap = args.cap if args.cap is not None else orc.default_cap()
+    cap = _cap(args)
     if args.n > cap:
         raise CapExceededError(f"n = {args.n} exceeds the oracle cap {cap}")
     seqs = sq.connected_realizable_sequences(args.n, args.excess)
@@ -278,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
         "oracle", parents=[common], help="exact maximum by branch-and-bound search"
     )
     p.add_argument("sequence")
-    p.add_argument("--cap", type=_cap_arg, default=None, help="refuse n beyond this bound")
+    p.add_argument("--cap", type=_digits, default=None, help="refuse n beyond this bound")
     p.add_argument(
         "--no-timing", action="store_true", help="omit timing for byte-identical output"
     )
@@ -299,10 +315,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "sweep", parents=[common], help="maxima for all sequences of given order/excess"
     )
-    p.add_argument("--n", type=_cap_arg, required=True)
+    p.add_argument("--n", type=_digits, required=True)
     p.add_argument("--excess", type=_excess_arg, required=True)
     p.add_argument("--verify-monotone", action="store_true")
-    p.add_argument("--cap", type=_cap_arg, default=None)
+    p.add_argument("--cap", type=_digits, default=None)
     p.set_defaults(func=cmd_sweep, inputs=("n", "excess"))
     return parser
 

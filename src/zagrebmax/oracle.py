@@ -36,36 +36,16 @@ graphs and walks every one.
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator, Optional, Sequence
 
-from .errors import CapExceededError, DomainError, ParseError
+from .errors import CapExceededError, DomainError
 from .graphs import SimpleGraph, canonical_form, is_connected
-from .sequences import DegreeSequence, _is_digits, is_connected_realizable, is_graphic
+from .sequences import DegreeSequence, is_connected_realizable, is_graphic
 
 DEFAULT_CAP = 10
-CAP_ENV_VAR = "ZAGREBMAX_ORACLE_CAP"
-
-
-def _parse_cap(text: str) -> int:
-    """A cap written as a run of ASCII digits, the grammar of graph-file
-    fields: a sign, an underscore or whitespace is a ValueError."""
-    if not _is_digits(text):
-        raise ValueError(f"{text!r} is not a run of decimal digits")
-    return int(text)  # a ValueError too past CPython's digit limit
-
-
-def default_cap() -> int:
-    raw = os.environ.get(CAP_ENV_VAR)
-    if raw is None:
-        return DEFAULT_CAP
-    try:
-        return _parse_cap(raw)
-    except ValueError:
-        raise ParseError(f"{CAP_ENV_VAR}={raw!r} is not an integer") from None
 
 
 @dataclass(frozen=True)
@@ -257,7 +237,7 @@ def _distinct_assignments(degrees: tuple[int, ...]) -> Iterator[tuple[int, ...]]
 def enumerate_realizations(
     seq: DegreeSequence,
     connected_only: bool = True,
-    cap: Optional[int] = None,
+    cap: int = DEFAULT_CAP,
     isomorphism_reduce: bool = False,
 ) -> Iterator[SimpleGraph]:
     """Stream every labeled simple graph whose sorted degree multiset equals
@@ -269,8 +249,8 @@ def enumerate_realizations(
     d(v_i) = d_i, the first assignment walked, so only that assignment is
     walked, with twin pruning (see ``_iter_edges``), and each graph it
     yields is canonicalized; the later assignments would yield only
-    repeats."""
-    cap = default_cap() if cap is None else cap
+    repeats.  More than ``cap`` vertices raise ``CapExceededError``; only
+    the CLI reads ``ZAGREBMAX_ORACLE_CAP``."""
     if seq.n > cap:
         raise CapExceededError(f"n = {seq.n} exceeds the enumeration cap {cap}")
     if not is_graphic(seq):
@@ -291,16 +271,16 @@ def enumerate_realizations(
             yield g
 
 
-def search_max_m2(seq: DegreeSequence, cap: Optional[int] = None) -> OracleResult:
+def search_max_m2(seq: DegreeSequence, cap: int = DEFAULT_CAP) -> OracleResult:
     """Certify the exact maximum second Zagreb index over all connected
     realizations, with one witness graph: the lexicographically smallest
     maximal edge list.
 
     A depth-first branch-and-bound over the rows that the enumerator walks,
     with twin pruning; ``nodes`` in the result counts the search nodes it
-    entered.
+    entered.  More than ``cap`` vertices raise ``CapExceededError``; only
+    the CLI reads ``ZAGREBMAX_ORACLE_CAP``.
     """
-    cap = default_cap() if cap is None else cap
     if seq.n > cap:
         raise CapExceededError(f"n = {seq.n} exceeds the enumeration cap {cap}")
     if not is_connected_realizable(seq):

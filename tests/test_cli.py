@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from zagrebmax import SimpleGraph, cli, serialize_edge_list
+from zagrebmax import SimpleGraph, cli, serialize_edge_list, to_dot
 from zagrebmax import sequences as sq
 from helpers import SEVEN_VERTEX_GREEDY
 
@@ -110,6 +110,27 @@ def test_construct_dot_format():
     assert proc.returncode == 0
     assert proc.stdout.startswith("graph g {")
     assert proc.stdout.count("--") == 3
+
+
+@pytest.mark.parametrize("fmt", ["edges", "dot"])
+def test_construct_plain_formats_report_warnings_on_stderr(fmt, capsys):
+    # the graph stays alone on stdout; the warnings go to stderr as one JSON line
+    code, out, err = _main_in_process(("construct", "4,4,3,3,2,1,1", "--format", fmt), capsys)
+    assert code == 0
+    report = json.loads(_main_in_process(("construct", "4,4,3,3,2,1,1"), capsys)[1])
+    write = serialize_edge_list if fmt == "edges" else to_dot
+    edges = [tuple(e) for e in report["result"]["edges"]]
+    assert out == write(SimpleGraph(report["result"]["n"], edges))
+    assert err.endswith("\n") and err.count("\n") == 1
+    assert json.loads(err) == {
+        "warnings": ["condition (iii) violated; optimality not guaranteed"]
+    }
+
+
+def test_construct_plain_format_without_warnings_keeps_stderr_empty(capsys):
+    code, out, err = _main_in_process(("construct", "3,1,1,1", "--format", "dot"), capsys)
+    assert (code, err) == (0, "")
+    assert out.startswith("graph g {")
 
 
 # --- graph-file commands -----------------------------------------------------------
@@ -266,6 +287,19 @@ def test_sweep_reads_signed_excess_and_leading_zeros(capsys):
         code, out, err = _main_in_process(("sweep", *argv), capsys)
         assert (code, err) == (0, "")
         assert json.loads(out)["inputs"] == inputs
+
+
+@pytest.mark.parametrize(
+    "argv", [("oracle", "4,2,2,2,2"), ("sweep", "--n", "5", "--excess", "0")]
+)
+def test_cap_flag_takes_precedence_over_env_var(argv, monkeypatch, capsys):
+    # with --cap given the variable is not read, so a malformed value is no error
+    monkeypatch.setenv("ZAGREBMAX_ORACLE_CAP", "abc")
+    assert _main_in_process((*argv, "--cap", "5"), capsys)[0] == 0
+    monkeypatch.setenv("ZAGREBMAX_ORACLE_CAP", "20")
+    code, out, err = _main_in_process((*argv, "--cap", "4"), capsys)
+    assert (code, out) == (3, "")
+    assert "cap 4" in json.loads(err)["error"]
 
 
 def test_cap_flag_and_env_var_take_leading_zeros(monkeypatch, capsys):

@@ -247,6 +247,20 @@ def test_enumeration_guards():
     assert next(raised).n == 11
 
 
+@pytest.mark.parametrize("raw", ["abc", "4"])
+def test_library_reads_no_cap_variable(raw, monkeypatch):
+    # only the CLI reads ZAGREBMAX_ORACLE_CAP; a library call takes its cap
+    # argument, whose default is DEFAULT_CAP (10), whatever the environment
+    monkeypatch.setenv("ZAGREBMAX_ORACLE_CAP", raw)
+    seq = DegreeSequence((4, 2, 2, 2, 2))
+    assert search_max_m2(seq).max_m2 == 40
+    assert len(list(enumerate_realizations(seq))) == 15
+    eleven = DegreeSequence((2,) * 11)
+    for call in (search_max_m2, lambda s: next(enumerate_realizations(s))):
+        with pytest.raises(CapExceededError, match="exceeds the enumeration cap 10$"):
+            call(eleven)
+
+
 # --- the oracle -----------------------------------------------------------------
 
 
