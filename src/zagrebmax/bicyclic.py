@@ -17,7 +17,7 @@ from typing import Sequence
 from .constructor import construct_extremal
 from .errors import DomainError
 from .graphs import SimpleGraph, degree_sequence_of, second_zagreb
-from .sequences import KIND_BICYCLIC, DegreeSequence, classify
+from .sequences import KIND_BICYCLIC, DegreeSequence, _as_int, classify
 
 FAMILY_GLUED = "two_cycles_shared_vertex"
 FAMILY_PATH_JOINED = "two_cycles_path"
@@ -71,11 +71,14 @@ def _glued_cycle_edges(p: int, q: int) -> list[tuple[int, int]]:
 
 def build_vertex_glued_cycles(p: int, q: int) -> SimpleGraph:
     """Two cycles C_p and C_q sharing exactly the vertex 1; order p+q-1."""
+    p, q = _as_int(p, "cycle length"), _as_int(q, "cycle length")
     return SimpleGraph(p + q - 1, _glued_cycle_edges(p, q))
 
 
 def build_path_joined_cycles(p: int, r: int, q: int) -> SimpleGraph:
     """C_p and C_q joined by a path of length r >= 1; order p+q+r-1."""
+    p, q = _as_int(p, "cycle length"), _as_int(q, "cycle length")
+    r = _as_int(r, "path length")
     if p < 3 or q < 3:
         raise DomainError(f"cycle lengths must be >= 3, got ({p},{q})")
     if r < 1:
@@ -92,6 +95,7 @@ def build_path_joined_cycles(p: int, r: int, q: int) -> SimpleGraph:
 def build_theta(k: int, l: int, m: int) -> SimpleGraph:
     """Three internally disjoint paths of lengths k, l, m between two
     vertices; order k+l+m-1.  At most one length may be 1."""
+    k, l, m = (_as_int(x, "path length") for x in (k, l, m))
     if not (1 <= m <= min(k, l)):
         raise DomainError(f"need 1 <= m <= min(k,l), got ({k},{l},{m})")
     if sum(1 for x in (k, l, m) if x == 1) > 1:
@@ -112,7 +116,8 @@ def build_glued_cycles_with_paths(
 ) -> SimpleGraph:
     """Vertex-glued cycles with pendant paths of the given lengths at the
     shared vertex; order p+q-1+sum(lengths)."""
-    lengths = list(lengths)
+    p, q = _as_int(p, "cycle length"), _as_int(q, "cycle length")
+    lengths = [_as_int(x, "path length") for x in lengths]
     if not lengths:
         raise DomainError("need at least one pendant path")
     if any(x < 1 for x in lengths):

@@ -18,6 +18,7 @@ from .graphs import SimpleGraph, _bfs_layers
 from .sequences import (
     KIND_BICYCLIC,
     DegreeSequence,
+    _as_int,
     check_optimality_conditions,
     classify,
     is_connected_realizable,
@@ -130,7 +131,7 @@ def verify_bfs_ordering(g: SimpleGraph, ordering: Sequence[int]) -> BfsOrderingR
     weakly precedes every up-neighbor of v.  The first violated condition
     is reported.
     """
-    order = tuple(ordering)
+    order = tuple(_as_int(v, "vertex") for v in ordering)
     if sorted(order) != list(range(1, g.n + 1)):
         raise DomainError("ordering must be a permutation of 1..n")
     h = _bfs_layers(g, order[0])

@@ -83,11 +83,13 @@ class SimpleGraph:
         """New graph with the given edges removed then added."""
         current = set(self.edges)
         for u, v in remove:
+            u, v = _as_int(u, "vertex"), _as_int(v, "vertex")
             e = (u, v) if u < v else (v, u)
             if e not in current:
                 raise DomainError(f"cannot remove absent edge ({e[0]},{e[1]})")
             current.remove(e)
         for u, v in add:
+            u, v = _as_int(u, "vertex"), _as_int(v, "vertex")
             e = (u, v) if u < v else (v, u)
             if e in current:
                 raise DomainError(f"cannot add present edge ({e[0]},{e[1]})")
@@ -225,24 +227,19 @@ def _refine(
     return colors, ncolors
 
 
-def _twin_transpositions(g: SimpleGraph) -> list[list[int]]:
-    """Transpositions of consecutive members of each class of vertices with
-    equal open or equal closed neighborhoods, as vertex maps (entry 0
-    unused).  Swapping two such twins is an automorphism."""
+def _twin_classes(g: SimpleGraph) -> list[int]:
+    """For each vertex (entry 0 unused), the least vertex with the same open
+    or the same closed neighborhood.  Swapping two such twins is an
+    automorphism."""
     # one dict serves both kinds: N(u) = N[v] would put u in N(u)
     adj = g._adj
-    classes: dict[tuple[int, ...], list[int]] = {}
+    first: dict[tuple[int, ...], int] = {}
+    twin = [0]
     for v in range(1, g.n + 1):
-        classes.setdefault(adj[v], []).append(v)
-        classes.setdefault(tuple(sorted(adj[v] + (v,))), []).append(v)
-    swaps = []
-    for members in classes.values():
-        if len(members) > 1:
-            for u, v in zip(members, members[1:]):
-                perm = list(range(g.n + 1))
-                perm[u], perm[v] = v, u
-                swaps.append(perm)
-    return swaps
+        a = first.setdefault(adj[v], v)
+        b = first.setdefault(tuple(sorted(adj[v] + (v,))), v)
+        twin.append(min(a, b))
+    return twin
 
 
 def canonical_form(
@@ -265,9 +262,10 @@ def canonical_form(
     an explored one and holds the same relabeled edge lists.  Two rules
     supply those automorphisms:
 
-    - twins: the transposition of two vertices with equal open or equal
-      closed neighborhoods, seeded before the search, so only one vertex of
-      each twin class in a cell is individualized;
+    - twins: swapping two vertices with equal open or equal closed
+      neighborhoods is an automorphism, and it fixes the path when neither
+      is on it, so every vertex of a cell starts in the orbit of its twin
+      class's label and only one vertex of each class is individualized;
     - equal leaves: a leaf whose relabeled edge list equals the best one so
       far maps onto the best leaf by an automorphism.  That automorphism
       maps the leaf's path onto the best leaf's path, so the search also
@@ -277,12 +275,14 @@ def canonical_form(
     ``perm_cap`` bounds the nodes the pruned search enters; beyond it the
     search refuses.
     """
+    perm_cap = _as_int(perm_cap, "perm_cap")
     n = g.n
     edges = g.edges
     weight = [(n + 1) ** c for c in range(n + 1)]
     colors, ncolors = _refine(g, [0] * (n + 1), 1, weight)
-    # automorphisms known so far, as vertex maps (entry 0 unused)
-    autos = _twin_transpositions(g) if ncolors < n else []
+    twin = _twin_classes(g) if ncolors < n else []
+    # automorphisms read off equal leaves, as vertex maps (entry 0 unused)
+    autos: list[list[int]] = []
     best: list[int] | None = None  # least edge keys u * n + v over the leaves
     best_vertex: list[int] = []  # the best leaf's color -> vertex
     best_path: list[int] = []
@@ -327,7 +327,7 @@ def canonical_form(
             sizes[colors[v]] += 1
         target = next(c for c, size in enumerate(sizes) if size > 1)
         cell = [v for v in range(1, n + 1) if colors[v] == target]
-        orbit = {v: v for v in cell}  # cell vertex -> orbit label
+        orbit = {v: twin[v] for v in cell}  # cell vertex -> orbit label
         explored: list[int] = []
         absorbed = 0
         for v in cell:

@@ -43,7 +43,7 @@ from typing import Iterator, Optional, Sequence
 
 from .errors import CapExceededError, DomainError
 from .graphs import SimpleGraph, canonical_form, is_connected
-from .sequences import DegreeSequence, is_connected_realizable, is_graphic
+from .sequences import DegreeSequence, _as_int, is_connected_realizable, is_graphic
 
 DEFAULT_CAP = 10
 
@@ -251,6 +251,7 @@ def enumerate_realizations(
     yields is canonicalized; the later assignments would yield only
     repeats.  More than ``cap`` vertices raise ``CapExceededError``; only
     the CLI reads ``ZAGREBMAX_ORACLE_CAP``."""
+    cap = _as_int(cap, "enumeration cap")
     if seq.n > cap:
         raise CapExceededError(f"n = {seq.n} exceeds the enumeration cap {cap}")
     if not is_graphic(seq):
@@ -281,6 +282,7 @@ def search_max_m2(seq: DegreeSequence, cap: int = DEFAULT_CAP) -> OracleResult:
     entered.  More than ``cap`` vertices raise ``CapExceededError``; only
     the CLI reads ``ZAGREBMAX_ORACLE_CAP``.
     """
+    cap = _as_int(cap, "enumeration cap")
     if seq.n > cap:
         raise CapExceededError(f"n = {seq.n} exceeds the enumeration cap {cap}")
     if not is_connected_realizable(seq):
@@ -334,7 +336,7 @@ def apply_neighbor_transfer(g: SimpleGraph, move: NeighborTransfer) -> SimpleGra
     ``SimpleGraph.replace_edges``, whose message names the offending edge
     (``cannot remove absent edge (3,5)``); a moved vertex outside 1..n is
     never a neighbor of v and fails there too."""
-    u, v, moved = move.u, move.v, move.moved
+    u, v, moved = _as_int(move.u, "vertex"), _as_int(move.v, "vertex"), move.moved
     if u == v or not (1 <= u <= g.n and 1 <= v <= g.n):
         raise DomainError(f"transfer needs two distinct vertices, got ({u},{v})")
     if len(set(moved)) != len(moved):

@@ -362,6 +362,7 @@ def _bounded_partitions(total: int, parts: int, max_part: int) -> Iterator[tuple
 def connected_realizable_sequences(n: int, excess: int) -> list[DegreeSequence]:
     """All connected-realizable sequences of order n with the given excess,
     ascending lexicographic order."""
+    n, excess = _as_int(n, "vertex count"), _as_int(excess, "excess")
     if n < 1 or excess < -1:
         return []
     total = 2 * (n + excess)

@@ -76,6 +76,11 @@ def test_glued_cycles_with_paths_profile():
         (build_theta, (2, 3, 3)),  # m > min(k,l)
         (build_glued_cycles_with_paths, (3, 3, [])),
         (build_glued_cycles_with_paths, (3, 3, [0])),
+        # a non-integer length is an error, not a TypeError
+        (build_vertex_glued_cycles, (3.5, 3)),
+        (build_path_joined_cycles, (3, "1", 3)),
+        (build_theta, (3.0, 2, 1)),
+        (build_glued_cycles_with_paths, (3, 3, [1.5])),
     ],
 )
 def test_builder_rejections(build, args):

@@ -278,6 +278,11 @@ def test_verify_rejects_bad_inputs():
     p3 = SimpleGraph(3, [(1, 2), (2, 3)])
     with pytest.raises(DomainError):
         verify_bfs_ordering(p3, (1, 1, 2))
+    for first in (1.0, "1"):
+        with pytest.raises(DomainError, match="is not an integer"):
+            verify_bfs_ordering(p3, (first, 2, 3))
+    # a bool stays an int, as in SimpleGraph
+    assert verify_bfs_ordering(p3, (True, 2, 3)).violated == "degree_monotone"
     disconnected = SimpleGraph(4, [(1, 2), (3, 4)])
     with pytest.raises(DomainError):
         verify_bfs_ordering(disconnected, (1, 2, 3, 4))

@@ -1,6 +1,7 @@
 """Tests for the graph type, the index, and graph I/O."""
 
 import random
+import re
 
 import numpy as np
 import pytest
@@ -167,6 +168,13 @@ def test_replace_edges_validates():
         g.replace_edges(remove=[(1, 3)])
     with pytest.raises(DomainError):
         g.replace_edges(add=[(1, 2)])
+    # a float or a string is an error, not matched against the integer edge
+    # it equals; a bool stays an int, as in SimpleGraph
+    with pytest.raises(DomainError, match=r"vertex 3\.0 is not an integer"):
+        g.replace_edges(remove=[(2, 3.0)])
+    with pytest.raises(DomainError, match="vertex '3' is not an integer"):
+        g.replace_edges(add=[(1, "3")])
+    assert g.replace_edges(remove=[(True, 2)]).edges == ((2, 3),)
     g2 = g.replace_edges(remove=[(2, 3)], add=[(1, 3)])
     assert g2.edges == ((1, 2), (1, 3))
     assert g.edges == ((1, 2), (2, 3))  # original untouched
@@ -400,6 +408,38 @@ def test_canonical_form_permutation_cap():
     with pytest.raises(CapExceededError, match="cap of 32 nodes"):
         canonical_form(MATCHING_10, perm_cap=32)
     canonical_form(MATCHING_10, perm_cap=100)
+
+
+@pytest.mark.parametrize(
+    "g,nodes",
+    [
+        (SimpleGraph(40, [(2 * i - 1, 2 * i) for i in range(1, 21)]), 230),
+        (SimpleGraph(31, [(1, v) for v in range(2, 32)]), 30),
+        (complete(14), 14),
+        (
+            SimpleGraph(
+                12,
+                [(u, v) for u, v in all_pairs(12) if (u - 1) // 4 != (v - 1) // 4],
+            ),
+            25,
+        ),
+        (cycle(30), 6),
+    ],
+    ids=["matching20", "star30", "K14", "K444", "C30"],
+)
+def test_canonical_form_search_tree_size(g, nodes):
+    # the exact number of nodes the pruned search enters, so a change to
+    # the twin or equal-leaf pruning that grows or shrinks the tree shows
+    canonical_form(g, perm_cap=nodes)
+    with pytest.raises(CapExceededError, match=f"cap of {nodes - 1} nodes"):
+        canonical_form(g, perm_cap=nodes - 1)
+
+
+@pytest.mark.parametrize("cap", ["10", 2.5])
+def test_canonical_form_rejects_non_integer_cap(cap):
+    message = re.escape(f"perm_cap {cap!r} is not an integer")
+    with pytest.raises(DomainError, match=message):
+        canonical_form(cycle(5), perm_cap=cap)
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,7 @@
 transformation moves, and hill climbing."""
 
 import random
+import re
 import sys
 from itertools import combinations, combinations_with_replacement, islice, permutations
 
@@ -322,6 +323,16 @@ def test_oracle_cap():
         search_max_m2(DegreeSequence((2,) * 12))
 
 
+@pytest.mark.parametrize("cap", ["10", 2.5])
+def test_library_cap_must_be_an_integer(cap):
+    seq = DegreeSequence((2, 2, 2))
+    message = re.escape(f"enumeration cap {cap!r} is not an integer")
+    with pytest.raises(DomainError, match=message):
+        search_max_m2(seq, cap=cap)
+    with pytest.raises(DomainError, match=message):
+        next(enumerate_realizations(seq, cap=cap))
+
+
 def test_oracle_determinism_across_runs():
     for text in ("3,3,2,2,2,2", "4,3,2,2,2,2,1"):
         results = [search_max_m2(DegreeSequence.parse(text)) for _ in range(3)]
@@ -449,6 +460,21 @@ def test_swap_rejects_duplicate_edge_creation():
     p4 = SimpleGraph(4, [(1, 2), (2, 3), (3, 4)])
     with pytest.raises(DomainError):
         apply_edge_swap(p4, EdgeSwap(v1=2, u1=1, v2=3, u2=4))
+
+
+@pytest.mark.parametrize(
+    "apply_move",
+    [
+        lambda g: apply_edge_swap(g, EdgeSwap(1, "2", 3, 4)),
+        lambda g: apply_neighbor_transfer(g, NeighborTransfer("1", 3, (4,))),
+        lambda g: apply_neighbor_transfer(g, NeighborTransfer(1, 3.0, (4,))),
+    ],
+    ids=["swap-str", "transfer-str", "transfer-float"],
+)
+def test_moves_reject_non_integer_labels(apply_move):
+    # each move is valid on C_6 with integer labels
+    with pytest.raises(DomainError, match="is not an integer"):
+        apply_move(cycle(6))
 
 
 def test_swap_equal_degrees_keeps_index():

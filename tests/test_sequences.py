@@ -429,3 +429,13 @@ def test_connected_realizable_sequences_listing():
         (4, 1, 1, 1, 1),
     ]
     assert connected_realizable_sequences(3, -2) == []
+
+
+@pytest.mark.parametrize(
+    "args,message",
+    [((5.0, 0), "vertex count 5.0"), ((5, "0"), "excess '0'")],
+    ids=["float-n", "str-excess"],
+)
+def test_connected_realizable_sequences_rejects_non_integers(args, message):
+    with pytest.raises(DomainError, match=f"{message} is not an integer"):
+        connected_realizable_sequences(*args)
