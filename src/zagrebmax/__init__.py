@@ -2,7 +2,6 @@
 
 from .bicyclic import (
     BicyclicMaxResult,
-    BicyclicWitness,
     bicyclic_max_m2,
     build_glued_cycles_with_paths,
     build_path_joined_cycles,
@@ -10,7 +9,6 @@ from .bicyclic import (
     build_vertex_glued_cycles,
 )
 from .constructor import (
-    BfsOrderingReport,
     ConstructionTrace,
     construct_extremal,
     construct_extremal_bicyclic,
@@ -41,7 +39,6 @@ from .oracle import (
 )
 from .sequences import (
     DegreeSequence,
-    MajorizationChain,
     MajorizationOrder,
     OptimalityConditions,
     SequenceClass,

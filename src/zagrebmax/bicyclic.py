@@ -27,13 +27,22 @@ FAMILY_LAYERED = "layered_bfs"
 
 
 @dataclass(frozen=True)
-class BicyclicWitness:
+class BicyclicMaxResult:
+    """The maximum ``value`` and a witness graph of the given family.
+
+    ``case_id`` is the case (1-5) of ``bicyclic_max_m2`` that applied, and
+    ``params`` are the family's builder arguments (empty for the layered
+    construction).
+    """
+
+    case_id: int
+    value: int
     family: str
     params: tuple[int, ...]
     graph: SimpleGraph
 
     def label(self) -> str:
-        """Human notation, e.g. B(3,4) or B(P_3,P_2,P_1)."""
+        """Human notation of the witness, e.g. B(3,4) or B(P_3,P_2,P_1)."""
         p = self.params
         if self.family == FAMILY_GLUED:
             return f"B({p[0]},{p[1]})"
@@ -45,13 +54,6 @@ class BicyclicWitness:
             lengths = ",".join(str(x) for x in p[2:])
             return f"B({p[0]},{p[1]};{lengths})"
         return "layered-bfs"
-
-
-@dataclass(frozen=True)
-class BicyclicMaxResult:
-    case_id: int
-    value: int
-    witness: BicyclicWitness
 
 
 def _cycle_edges(vertices: Sequence[int]) -> list[tuple[int, int]]:
@@ -155,21 +157,18 @@ def bicyclic_max_m2(seq: DegreeSequence) -> BicyclicMaxResult:
         if d[1] >= 3:
             value = 4 * n + 17
             if n >= 6:
-                witness = BicyclicWitness(
-                    FAMILY_PATH_JOINED, (3, 1, n - 3), build_path_joined_cycles(3, 1, n - 3)
-                )
+                family, params = FAMILY_PATH_JOINED, (3, 1, n - 3)
+                graph = build_path_joined_cycles(*params)
             else:
                 # n <= 5 cannot host two disjoint cycles; the theta with a
                 # direct edge attains the same index.
-                witness = BicyclicWitness(
-                    FAMILY_THETA, (n - 2, 2, 1), build_theta(n - 2, 2, 1)
-                )
+                family, params = FAMILY_THETA, (n - 2, 2, 1)
+                graph = build_theta(*params)
             case_id = 1
         else:
             value = 4 * n + 20
-            witness = BicyclicWitness(
-                FAMILY_GLUED, (3, n - 2), build_vertex_glued_cycles(3, n - 2)
-            )
+            family, params = FAMILY_GLUED, (3, n - 2)
+            graph = build_vertex_glued_cycles(*params)
             case_id = 2
     elif d[1] == 2:
         # Profile (d1, 2^k, 1^s); the handshake forces d1 = s + 4 and
@@ -182,25 +181,22 @@ def bicyclic_max_m2(seq: DegreeSequence) -> BicyclicMaxResult:
             lengths = [2] * (n - s - 5) + [1] * (2 * s - n + 5)
             value = s * n + 6 * n + s + 10
             case_id = 4
-        witness = BicyclicWitness(
-            FAMILY_GLUED_PATHS,
-            (3, 3) + tuple(lengths),
-            build_glued_cycles_with_paths(3, 3, lengths),
-        )
+        family, params = FAMILY_GLUED_PATHS, (3, 3) + tuple(lengths)
+        graph = build_glued_cycles_with_paths(3, 3, lengths)
     else:
         # At c = 1, conditions (ii) and (iv) are d2 >= 3 and dn = 1.
-        trace = construct_extremal(seq)
-        value = second_zagreb(trace.graph)
-        witness = BicyclicWitness(FAMILY_LAYERED, (), trace.graph)
+        family, params = FAMILY_LAYERED, ()
+        graph = construct_extremal(seq).graph
+        value = second_zagreb(graph)
         case_id = 5
 
-    realized = degree_sequence_of(witness.graph)
+    realized = degree_sequence_of(graph)
     if realized.degrees != seq.degrees:
         raise DomainError(
             f"internal: witness realizes ({realized.to_text()}), wanted ({seq.to_text()})"
         )
     if case_id != 5:  # case 5's value is already the witness's own index
-        index = second_zagreb(witness.graph)
+        index = second_zagreb(graph)
         if index != value:
             raise DomainError(f"internal: witness index {index} != formula value {value}")
-    return BicyclicMaxResult(case_id, value, witness)
+    return BicyclicMaxResult(case_id, value, family, params, graph)

@@ -16,6 +16,7 @@ import functools
 import json
 import os
 import sys
+import time
 from itertools import combinations
 from typing import Any, Optional
 
@@ -146,16 +147,19 @@ def cmd_bicyclic_max(args) -> tuple[dict, list[str]]:
         "sequence": seq.to_text(),
         "case": res.case_id,
         "value": res.value,
-        "family": res.witness.label(),
-        "params": list(res.witness.params),
-        "edges": res.witness.graph.edges,
+        "family": res.label(),
+        "params": list(res.params),
+        "edges": res.graph.edges,
     }
     return result, []
 
 
 def cmd_oracle(args) -> tuple[dict, list[str]]:
     seq = sq.DegreeSequence.parse(args.sequence)
-    res = orc.search_max_m2(seq, cap=_cap(args))
+    cap = _cap(args)
+    start = time.perf_counter()
+    res = orc.search_max_m2(seq, cap=cap)
+    elapsed = time.perf_counter() - start
     result = {
         "sequence": seq.to_text(),
         "max_m2": res.max_m2,
@@ -163,7 +167,7 @@ def cmd_oracle(args) -> tuple[dict, list[str]]:
         "nodes": res.nodes,
     }
     if not args.no_timing:
-        result["elapsed_ms"] = round(res.elapsed * 1000.0, 3)
+        result["elapsed_ms"] = round(elapsed * 1000.0, 3)
     return result, []
 
 
@@ -198,7 +202,7 @@ def cmd_majorize(args) -> tuple[dict, list[str]]:
     if args.chain:
         if order in (sq.MajorizationOrder.EQUAL, sq.MajorizationOrder.A_BELOW_B):
             chain = sq.majorization_chain(a, b)
-            result["chain"] = [s.to_text() for s in chain.steps]
+            result["chain"] = [s.to_text() for s in chain]
             result["chain_length"] = len(chain)
         else:
             result["chain"] = None

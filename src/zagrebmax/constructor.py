@@ -40,15 +40,6 @@ class ConstructionTrace:
     warnings: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class BfsOrderingReport:
-    violated: Optional[str]
-
-    @property
-    def holds(self) -> bool:
-        return self.violated is None
-
-
 def construct_extremal(seq: DegreeSequence) -> ConstructionTrace:
     """Build the layered candidate-extremal graph for ``seq``.
 
@@ -122,14 +113,15 @@ def construct_extremal_bicyclic(seq: DegreeSequence) -> ConstructionTrace:
     return construct_extremal(seq)
 
 
-def verify_bfs_ordering(g: SimpleGraph, ordering: Sequence[int]) -> BfsOrderingReport:
+def verify_bfs_ordering(g: SimpleGraph, ordering: Sequence[int]) -> Optional[str]:
     """Check a vertex ordering against the three breadth-first conditions.
 
     With h(v) the distance from the first vertex of the ordering, the
     conditions are: (1) h never decreases along the ordering, (2) degrees
     never increase, (3) whenever u precedes v, every up-neighbor of u
-    weakly precedes every up-neighbor of v.  The first violated condition
-    is reported.
+    weakly precedes every up-neighbor of v.  Returns the name of the first
+    violated condition (``VIOLATION_LAYER``, ``VIOLATION_DEGREE`` or
+    ``VIOLATION_PARENT``), or None when the ordering satisfies all three.
     """
     order = tuple(_as_int(v, "vertex") for v in ordering)
     if sorted(order) != list(range(1, g.n + 1)):
@@ -140,10 +132,10 @@ def verify_bfs_ordering(g: SimpleGraph, ordering: Sequence[int]) -> BfsOrderingR
 
     for a, b in zip(order, order[1:]):
         if h[a] > h[b]:
-            return BfsOrderingReport(VIOLATION_LAYER)
+            return VIOLATION_LAYER
     for a, b in zip(order, order[1:]):
         if g.degree(a) < g.degree(b):
-            return BfsOrderingReport(VIOLATION_DEGREE)
+            return VIOLATION_DEGREE
 
     pos = {v: i for i, v in enumerate(order)}
     running_max = -1
@@ -151,6 +143,6 @@ def verify_bfs_ordering(g: SimpleGraph, ordering: Sequence[int]) -> BfsOrderingR
         parents = [pos[u] for u in g.neighbors(v) if h[u] == h[v] - 1]
         if parents:
             if running_max > min(parents):
-                return BfsOrderingReport(VIOLATION_PARENT)
+                return VIOLATION_PARENT
             running_max = max(running_max, max(parents))
-    return BfsOrderingReport(None)
+    return None

@@ -36,7 +36,6 @@ graphs and walks every one.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator, Optional, Sequence
@@ -53,7 +52,6 @@ class OracleResult:
     max_m2: int
     witness: SimpleGraph
     nodes: int
-    elapsed: float
 
 
 @dataclass(frozen=True)
@@ -279,8 +277,9 @@ def search_max_m2(seq: DegreeSequence, cap: int = DEFAULT_CAP) -> OracleResult:
 
     A depth-first branch-and-bound over the rows that the enumerator walks,
     with twin pruning; ``nodes`` in the result counts the search nodes it
-    entered.  More than ``cap`` vertices raise ``CapExceededError``; only
-    the CLI reads ``ZAGREBMAX_ORACLE_CAP``.
+    entered.  The result holds no timing, so equal inputs give equal
+    results; the CLI times the call.  More than ``cap`` vertices raise
+    ``CapExceededError``; only the CLI reads ``ZAGREBMAX_ORACLE_CAP``.
     """
     cap = _as_int(cap, "enumeration cap")
     if seq.n > cap:
@@ -289,7 +288,6 @@ def search_max_m2(seq: DegreeSequence, cap: int = DEFAULT_CAP) -> OracleResult:
         raise DomainError(
             f"({seq.to_text()}) has no connected realization; search space is empty"
         )
-    start = time.perf_counter()
     incumbent = _Incumbent()
     best_edges: Optional[tuple[tuple[int, int], ...]] = None
     for best_edges in _iter_edges(seq.degrees, True, incumbent, twins=True):
@@ -299,12 +297,7 @@ def search_max_m2(seq: DegreeSequence, cap: int = DEFAULT_CAP) -> OracleResult:
             f"internal: ({seq.to_text()}) passed realizability but produced no graph"
         )
     witness = SimpleGraph(seq.n, [(u + 1, v + 1) for u, v in best_edges])
-    return OracleResult(
-        max_m2=incumbent.m2,
-        witness=witness,
-        nodes=incumbent.nodes,
-        elapsed=time.perf_counter() - start,
-    )
+    return OracleResult(max_m2=incumbent.m2, witness=witness, nodes=incumbent.nodes)
 
 
 def apply_edge_swap(g: SimpleGraph, move: EdgeSwap) -> SimpleGraph:

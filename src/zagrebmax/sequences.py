@@ -159,16 +159,6 @@ class MajorizationOrder(Enum):
     INCOMPARABLE = "incomparable"
 
 
-@dataclass(frozen=True)
-class MajorizationChain:
-    """Chain of sequences linked by single unit transfers, endpoints inclusive."""
-
-    steps: tuple[DegreeSequence, ...]
-
-    def __len__(self) -> int:
-        return len(self.steps)
-
-
 Degreeish = Union[DegreeSequence, Sequence[int], Iterable[int]]
 
 
@@ -299,7 +289,7 @@ def majorization_compare(a: Degreeish, b: Degreeish) -> MajorizationOrder:
     return MajorizationOrder.INCOMPARABLE
 
 
-def majorization_chain(a: DegreeSequence, b: DegreeSequence) -> MajorizationChain:
+def majorization_chain(a: DegreeSequence, b: DegreeSequence) -> tuple[DegreeSequence, ...]:
     """Connect ``a`` up to ``b`` by single unit transfers.
 
     Consecutive steps differ in exactly two positions p < q, by +1 at p and
@@ -308,6 +298,8 @@ def majorization_chain(a: DegreeSequence, b: DegreeSequence) -> MajorizationChai
     where the target's prefix sum strictly exceeds the current one, q the
     first later position where the current value exceeds the target's,
     pushed to the end of its equal-value block so sortedness survives.
+    Returns the tuple of steps, ``a`` first and ``b`` last (one step when
+    they are equal).
     """
     order = majorization_compare(a, b)
     if order not in (MajorizationOrder.EQUAL, MajorizationOrder.A_BELOW_B):
@@ -336,7 +328,7 @@ def majorization_chain(a: DegreeSequence, b: DegreeSequence) -> MajorizationChai
         guard -= 1
         if guard < 0:
             raise DomainError("internal: unit-transfer chain failed to terminate")
-    return MajorizationChain(tuple(steps))
+    return tuple(steps)
 
 
 def _bounded_partitions(total: int, parts: int, max_part: int) -> Iterator[tuple[int, ...]]:

@@ -148,7 +148,7 @@ def eg_quadratic(seq):
 
 def assert_valid_chain(chain, a: DegreeSequence, b: DegreeSequence):
     """Every adjacency in the chain must be a single sorted graphic unit transfer."""
-    steps = chain.steps
+    steps = chain
     assert steps[0].degrees == a.degrees
     assert steps[-1].degrees == b.degrees
     for cur, nxt in zip(steps, steps[1:]):

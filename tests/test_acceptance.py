@@ -68,7 +68,7 @@ def test_criterion_2_theta_profile_values():
         good = (
             oracle == 4 * n + 17
             and res.value == oracle
-            and res.witness.family in ("two_cycles_path", "theta")
+            and res.family in ("two_cycles_path", "theta")
         )
         ok = ok and good
         details.append(f"n={n}:{oracle}")

@@ -115,34 +115,34 @@ def test_pendant_path_lengths_do_not_matter_beyond_two():
 def test_case1_value_and_witness():
     res = bicyclic_max_m2(DegreeSequence.parse("3,3,2,2,2,2"))
     assert res.case_id == 1 and res.value == 41
-    assert res.witness.label() == "B(3,1,3)"
+    assert res.label() == "B(3,1,3)"
     res5 = bicyclic_max_m2(DegreeSequence((3, 3, 2, 2, 2)))
     assert res5.case_id == 1 and res5.value == 37
-    assert res5.witness.label() == "B(P_3,P_2,P_1)"
+    assert res5.label() == "B(P_3,P_2,P_1)"
 
 
 def test_case2_value_and_witness():
     res = bicyclic_max_m2(DegreeSequence((4, 2, 2, 2, 2)))
     assert res.case_id == 2 and res.value == 40
-    assert res.witness.label() == "B(3,3)"
+    assert res.label() == "B(3,3)"
 
 
 def test_case3_spot_value():
     res = bicyclic_max_m2(DegreeSequence.parse("6,2^6,1^2"))
     assert res.case_id == 3 and res.value == 84
-    assert res.witness.label() == "B(3,3;2,2)"
+    assert res.label() == "B(3,3;2,2)"
 
 
 def test_case4_spot_value():
     res = bicyclic_max_m2(DegreeSequence.parse("7,2^4,1^3"))
     assert res.case_id == 4 and res.value == 85
-    assert res.witness.label() == "B(3,3;1,1,1)"
+    assert res.label() == "B(3,3;1,1,1)"
 
 
 def test_case5_uses_layered_construction():
     res = bicyclic_max_m2(DegreeSequence.parse("4,3,2,2,2,2,1"))
     assert res.case_id == 5 and res.value == 54
-    assert res.witness.family == "layered_bfs"
+    assert res.family == "layered_bfs"
 
 
 def test_rejects_non_bicyclic():
@@ -163,7 +163,7 @@ def test_witness_always_realizes_the_sequence():
     for n in range(4, 9):
         for seq in connected_realizable_sequences(n, 1):
             res = bicyclic_max_m2(seq)
-            g = res.witness.graph
+            g = res.graph
             assert degree_sequence_of(g).degrees == seq.degrees
             assert is_connected(g) and g.m == g.n + 1
             assert second_zagreb(g) == res.value

@@ -337,6 +337,7 @@ def test_oracle_determinism_across_runs():
     for text in ("3,3,2,2,2,2", "4,3,2,2,2,2,1"):
         results = [search_max_m2(DegreeSequence.parse(text)) for _ in range(3)]
         assert len({(r.max_m2, r.nodes, r.witness.edges) for r in results}) == 1
+        assert results[0] == results[1] == results[2]
 
 
 def test_branch_and_bound_matches_exhaustive_scan():

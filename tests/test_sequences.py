@@ -367,13 +367,13 @@ def test_chain_single_transfer():
     chain = majorization_chain(
         DegreeSequence((3, 3, 2, 2, 2)), DegreeSequence((4, 2, 2, 2, 2))
     )
-    assert [s.to_text() for s in chain.steps] == ["3,3,2,2,2", "4,2,2,2,2"]
+    assert [s.to_text() for s in chain] == ["3,3,2,2,2", "4,2,2,2,2"]
 
 
 def test_chain_identity():
     seq = DegreeSequence((4, 2, 2, 2, 2))
     chain = majorization_chain(seq, seq)
-    assert len(chain) == 1 and chain.steps[0].degrees == seq.degrees
+    assert len(chain) == 1 and chain[0].degrees == seq.degrees
 
 
 def test_chain_regular_to_spread():
@@ -417,7 +417,7 @@ def test_bicyclic_chain_stays_bicyclic():
     a = DegreeSequence((3, 3, 3, 3, 2, 1, 1))
     b = DegreeSequence((5, 3, 2, 2, 2, 1, 1))
     assert majorization_compare(a, b) == MajorizationOrder.A_BELOW_B
-    for step in majorization_chain(a, b).steps:
+    for step in majorization_chain(a, b):
         assert classify(step).kind == "bicyclic"
 
 
