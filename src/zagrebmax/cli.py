@@ -1,8 +1,10 @@
 """Command-line frontend.
 
 Commands: validate, construct, m2, bicyclic-max, oracle, improve,
-majorize, sweep.  Each ``cmd_*`` returns ``(result, warnings)``, or ``None``
-once it has written its own output.  ``main`` wraps them in the JSON report
+majorize, sweep.  ``main`` converts each input a subparser declares, in
+order, and hands them to its ``cmd_*``, which returns ``(result, warnings)``
+or ``None`` once it has written its own output.  ``main`` echoes each parsed
+sequence in canonical form, wraps the result in the JSON report
 ``{command, inputs, result, warnings}`` on stdout (``--pretty`` renders an
 indented view) and maps errors to exit codes: 0 success, 1 domain
 rejection, 2 parse error, 3 resource cap.
@@ -81,18 +83,30 @@ def _read_graph(path: str) -> gr.SimpleGraph:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    return gr.parse_edge_list(text)
+    n, edges = gr._edge_list_fields(text)
+    # m2 and improve reject a vertex on no edge, which n > 2m + 1 forces;
+    # refuse it before n adjacency lists are built
+    if n > 2 * len(edges) + 1:
+        raise DomainError(
+            f"header n = {n}, m = {len(edges)}: n > 2m + 1 leaves a vertex on no edge"
+        )
+    return gr._edge_list_graph(n, edges)
 
 
-def cmd_validate(args) -> tuple[dict, list[str]]:
-    seq = sq.DegreeSequence.parse(args.sequence)
+def _convert(key: str, text):
+    """A declared input as its command takes it; ``parse`` is looked up per call."""
+    if key == "graph":
+        return _read_graph(text)
+    return sq.DegreeSequence.parse(text) if key in ("sequence", "a", "b") else text
+
+
+def cmd_validate(args, seq) -> tuple[dict, list[str]]:
     warnings = ["input was not non-increasing; sorted"] if seq.resorted else []
     graphic = sq.is_graphic(seq)
     realizable = sq.is_connected_realizable(seq)
     cls = dataclasses.asdict(sq.classify(seq)) if realizable else None
     rep = sq.check_optimality_conditions(seq)
     result = {
-        "sequence": seq.to_text(),
         "graphic": graphic,
         "connected_realizable": realizable,
         "class": cls,
@@ -107,8 +121,7 @@ def cmd_validate(args) -> tuple[dict, list[str]]:
     return result, warnings
 
 
-def cmd_construct(args) -> Optional[tuple[dict, list[str]]]:
-    seq = sq.DegreeSequence.parse(args.sequence)
+def cmd_construct(args, seq) -> Optional[tuple[dict, list[str]]]:
     trace = ctor.construct_extremal(seq)
     if args.format != "json":
         write = gr.serialize_edge_list if args.format == "edges" else gr.to_dot
@@ -117,7 +130,6 @@ def cmd_construct(args) -> Optional[tuple[dict, list[str]]]:
             print(json.dumps({"warnings": list(trace.warnings)}), file=sys.stderr)
         return None
     result = {
-        "sequence": seq.to_text(),
         "n": trace.graph.n,
         "m": trace.graph.m,
         "edges": trace.graph.edges,
@@ -129,8 +141,7 @@ def cmd_construct(args) -> Optional[tuple[dict, list[str]]]:
     return result, list(trace.warnings)
 
 
-def cmd_m2(args) -> tuple[dict, list[str]]:
-    g = _read_graph(args.graph)
+def cmd_m2(args, g) -> tuple[dict, list[str]]:
     result = {
         "n": g.n,
         "m": g.m,
@@ -140,11 +151,9 @@ def cmd_m2(args) -> tuple[dict, list[str]]:
     return result, []
 
 
-def cmd_bicyclic_max(args) -> tuple[dict, list[str]]:
-    seq = sq.DegreeSequence.parse(args.sequence)
+def cmd_bicyclic_max(args, seq) -> tuple[dict, list[str]]:
     res = bc.bicyclic_max_m2(seq)
     result = {
-        "sequence": seq.to_text(),
         "case": res.case_id,
         "value": res.value,
         "family": res.label(),
@@ -154,14 +163,12 @@ def cmd_bicyclic_max(args) -> tuple[dict, list[str]]:
     return result, []
 
 
-def cmd_oracle(args) -> tuple[dict, list[str]]:
-    seq = sq.DegreeSequence.parse(args.sequence)
+def cmd_oracle(args, seq) -> tuple[dict, list[str]]:
     cap = _cap(args)
     start = time.perf_counter()
     res = orc.search_max_m2(seq, cap=cap)
     elapsed = time.perf_counter() - start
     result = {
-        "sequence": seq.to_text(),
         "max_m2": res.max_m2,
         "witness_edges": res.witness.edges,
         "nodes": res.nodes,
@@ -171,8 +178,7 @@ def cmd_oracle(args) -> tuple[dict, list[str]]:
     return result, []
 
 
-def cmd_improve(args) -> tuple[dict, list[str]]:
-    g = _read_graph(args.graph)
+def cmd_improve(args, g) -> tuple[dict, list[str]]:
     initial = gr.second_zagreb(g)
     final_graph, moves = orc.hill_climb(g)
     result = {
@@ -190,15 +196,9 @@ def cmd_improve(args) -> tuple[dict, list[str]]:
     return result, []
 
 
-def cmd_majorize(args) -> tuple[dict, list[str]]:
-    a = sq.DegreeSequence.parse(args.a)
-    b = sq.DegreeSequence.parse(args.b)
+def cmd_majorize(args, a, b) -> tuple[dict, list[str]]:
     order = sq.majorization_compare(a, b)
-    result: dict[str, Any] = {
-        "a": a.to_text(),
-        "b": b.to_text(),
-        "order": order.value,
-    }
+    result: dict[str, Any] = {"order": order.value}
     if args.chain:
         if order in (sq.MajorizationOrder.EQUAL, sq.MajorizationOrder.A_BELOW_B):
             chain = sq.majorization_chain(a, b)
@@ -215,22 +215,22 @@ def _max_for(seq: sq.DegreeSequence, excess: int, cap: int) -> tuple[int, str]:
     return orc.search_max_m2(seq, cap=cap).max_m2, "oracle"
 
 
-def cmd_sweep(args) -> tuple[dict, list[str]]:
+def cmd_sweep(args, n, excess) -> tuple[dict, list[str]]:
     cap = _cap(args)
-    if args.n > cap:
-        raise CapExceededError(f"n = {args.n} exceeds the oracle cap {cap}")
-    seqs = sq.connected_realizable_sequences(args.n, args.excess)
+    if n > cap:
+        raise CapExceededError(f"n = {n} exceeds the oracle cap {cap}")
+    seqs = sq.connected_realizable_sequences(n, excess)
     rows = []
     maxima = {}
     for seq in seqs:
-        value, method = _max_for(seq, args.excess, cap)
+        value, method = _max_for(seq, excess, cap)
         maxima[seq.degrees] = value
         rows.append(
             {"sequence": seq.to_text(), "max_m2": value, "method": method}
         )
     result: dict[str, Any] = {
-        "n": args.n,
-        "excess": args.excess,
+        "n": n,
+        "excess": excess,
         "count": len(rows),
         "sequences": rows,
     }
@@ -329,8 +329,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    inputs = {key: getattr(args, key) for key in args.inputs}
     try:
-        out = args.func(args)
+        # in declared order, so majorize's a fails wholly before b is read
+        values = {key: _convert(key, text) for key, text in inputs.items()}
+        out = args.func(args, *values.values())
     except (ParseError, CapExceededError, DomainError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         if isinstance(exc, ParseError):
@@ -338,7 +341,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         return EXIT_CAP if isinstance(exc, CapExceededError) else EXIT_DOMAIN
     if out is not None:
         result, warnings = out
-        inputs = {key: getattr(args, key) for key in args.inputs}
+        for key, value in values.items():
+            if isinstance(value, sq.DegreeSequence):
+                result[key] = value.to_text()
         report = dict(
             command=args.command, inputs=inputs, result=result, warnings=warnings
         )

@@ -162,21 +162,30 @@ def _int_pair(line: str, what: str) -> tuple[int, int]:
         raise ParseError(f"bad {what} {line!r}; integer too large") from exc
 
 
-def parse_edge_list(text: str) -> SimpleGraph:
-    """Parse the edge-list format: header ``"n m"``, then m lines ``"u v"``.
-    Every field is a run of decimal digits; a sign, an underscore or a
-    base prefix is a parse error."""
+def _edge_list_fields(text: str) -> tuple[int, list[tuple[int, int]]]:
+    """The header's n and the edge pairs of edge-list text, with every field
+    checked but no graph built."""
     lines = [ln for ln in (raw.strip() for raw in text.split("\n")) if ln]
     if not lines:
         raise ParseError("empty graph text")
     n, m = _int_pair(lines[0], "header")
     if len(lines) - 1 != m:
         raise ParseError(f"header promises {m} edges, found {len(lines) - 1}")
-    edges = [_int_pair(ln, "edge line") for ln in lines[1:]]
+    return n, [_int_pair(ln, "edge line") for ln in lines[1:]]
+
+
+def _edge_list_graph(n: int, edges: list[tuple[int, int]]) -> SimpleGraph:
     try:
         return SimpleGraph(n, edges)
     except DomainError as exc:
         raise ParseError(str(exc)) from exc
+
+
+def parse_edge_list(text: str) -> SimpleGraph:
+    """Parse the edge-list format: header ``"n m"``, then m lines ``"u v"``.
+    Every field is a run of decimal digits; a sign, an underscore or a
+    base prefix is a parse error."""
+    return _edge_list_graph(*_edge_list_fields(text))
 
 
 def serialize_edge_list(g: SimpleGraph) -> str:

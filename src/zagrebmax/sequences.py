@@ -264,8 +264,8 @@ def check_optimality_conditions(seq: DegreeSequence) -> OptimalityConditions:
     elif n < excess + 3:
         holds_iii = False
     else:
-        plateau = d[3 : excess + 3]
-        holds_iii = all(x == plateau[0] for x in plateau) and d[2] >= plateau[0]
+        # d is non-increasing: d3 >= d4, and d4..d_{c+3} is constant iff its ends agree
+        holds_iii = d[3] == d[excess + 2]
     holds_iv = d[-1] == 1
     return OptimalityConditions(excess, holds_i, holds_ii, holds_iii, holds_iv)
 

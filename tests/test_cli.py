@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -198,7 +199,92 @@ def test_improve_applies_moves(tmp_path):
     assert len(out["result"]["moves"]) >= 1
 
 
+@pytest.mark.parametrize("command", ["m2", "improve"])
+def test_header_with_a_vertex_on_no_edge_is_refused_before_the_graph(
+    command, tmp_path, capsys
+):
+    # n > 2m + 1 forces a vertex on no edge, which both commands reject; the
+    # 10^6 + 1 adjacency lists of this header would take about 100 MB
+    path = tmp_path / "wide.edges"
+    path.write_text("1000000 0\n")
+    tracemalloc.start()
+    try:
+        code, out, err = _main_in_process((command, str(path)), capsys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (1, "")
+    assert json.loads(err)["error"] == (
+        "header n = 1000000, m = 0: n > 2m + 1 leaves a vertex on no edge"
+    )
+    assert peak < 4 * 2**20
+
+
+@pytest.mark.parametrize(
+    "command, text, error",
+    [
+        ("m2", "3 1\n1 2\n", "vertex 3 is isolated; degree sequences need d >= 1"),
+        ("improve", "3 1\n1 2\n", "hill climb requires a connected graph"),
+        ("m2", "1 0\n", "vertex 1 is isolated; degree sequences need d >= 1"),
+        ("improve", "1 0\n", None),
+    ],
+)
+def test_header_with_n_at_most_2m_plus_1_keeps_its_verdict(
+    command, text, error, tmp_path, capsys
+):
+    path = tmp_path / "g.edges"
+    path.write_text(text)
+    code, out, err = _main_in_process((command, str(path)), capsys)
+    if error is None:
+        assert (code, err) == (0, "")
+        assert json.loads(out)["result"]["edges"] == []
+    else:
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"] == error
+
+
 # --- sequence commands ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("validate", "1,4,2,2,3"),
+        ("construct", "1,4,2,2,3"),
+        ("bicyclic-max", "1,4,2,2,3"),
+        ("oracle", "1,4,2,2,3", "--no-timing"),
+    ],
+)
+def test_result_echoes_the_sorted_sequence_and_only_validate_warns(argv, capsys):
+    code, out, err = _main_in_process(argv, capsys)
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["inputs"] == {"sequence": "1,4,2,2,3"}
+    assert report["result"]["sequence"] == "4,3,2,2,1"
+    sorted_warning = "input was not non-increasing; sorted"
+    assert (sorted_warning in report["warnings"]) == (argv[0] == "validate")
+
+
+def test_majorize_echoes_both_sequences_sorted(capsys):
+    code, out, err = _main_in_process(("majorize", "1,2,2,3", "2,2,2,2"), capsys)
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["inputs"] == {"a": "1,2,2,3", "b": "2,2,2,2"}
+    assert (report["result"]["a"], report["result"]["b"]) == ("3,2,2,1", "2,2,2,2")
+
+
+def test_sequence_error_comes_before_a_malformed_cap_variable(monkeypatch, capsys):
+    monkeypatch.setenv("ZAGREBMAX_ORACLE_CAP", "abc")
+    code, out, err = _main_in_process(("oracle", "x,y"), capsys)
+    assert (code, out) == (2, "")
+    assert json.loads(err)["error"] == "bad degree token 'x'"
+
+
+def test_majorize_reads_a_wholly_before_b(capsys):
+    # a's domain error (exit 1) wins over b's parse error (exit 2)
+    code, out, err = _main_in_process(("majorize", "0", "x"), capsys)
+    assert (code, out) == (1, "")
+    assert json.loads(err)["error"] == "degrees must be positive, got 0"
 
 
 def test_bicyclic_max_cases():
