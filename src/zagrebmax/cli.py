@@ -237,13 +237,9 @@ def cmd_sweep(args, n, excess) -> tuple[dict, list[str]]:
     if args.verify_monotone:
         violations = []
         checked = 0
-        for sa, sb in combinations(seqs, 2):
-            order = sq.majorization_compare(sa, sb)
-            if order == sq.MajorizationOrder.A_BELOW_B:
-                lo, hi = sa, sb
-            elif order == sq.MajorizationOrder.B_BELOW_A:
-                lo, hi = sb, sa
-            else:
+        # seqs ascend lexicographically, so only lo can lie below hi
+        for lo, hi in combinations(seqs, 2):
+            if sq.majorization_compare(lo, hi) != sq.MajorizationOrder.A_BELOW_B:
                 continue
             checked += 1
             vlo, vhi = maxima[lo.degrees], maxima[hi.degrees]

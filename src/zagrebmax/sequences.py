@@ -10,10 +10,11 @@ rejected.
 from __future__ import annotations
 
 import operator
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, chain
 from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import DomainError, ParseError
@@ -37,12 +38,28 @@ def _is_digits(text: str) -> bool:
     return text.isascii() and text.isdigit()
 
 
+def _check_degrees(n: int, smallest: int, largest: int, total: int) -> None:
+    """Raise unless ``n`` degrees from ``smallest`` to ``largest`` summing to
+    ``total`` can be the degrees of a simple graph with no isolated vertex."""
+    if smallest < 1:
+        raise DomainError(f"degrees must be positive, got {smallest}")
+    if largest > n - 1:
+        raise DomainError(
+            f"degree {largest} exceeds n-1 = {n - 1}; no simple graph can realize it"
+        )
+    if total % 2 != 0:
+        raise DomainError("degree sum must be even")
+
+
 @dataclass(frozen=True)
 class DegreeSequence:
-    """Validated non-increasing sequence of positive vertex degrees."""
+    """Validated non-increasing sequence of positive vertex degrees.
+
+    Unsorted input is sorted; ``resorted`` records that it was.  Only the
+    class sets the flag: it is not a constructor parameter."""
 
     degrees: tuple[int, ...]
-    resorted: bool = field(default=False, compare=False)
+    resorted: bool = field(default=False, compare=False, init=False)
 
     def __post_init__(self):
         raw = tuple(self.degrees)  # read a one-shot iterator once
@@ -59,15 +76,7 @@ class DegreeSequence:
             object.__setattr__(self, "resorted", True)
         else:
             object.__setattr__(self, "degrees", degs)
-        n = len(canonical)
-        if canonical[-1] < 1:
-            raise DomainError(f"degrees must be positive, got {canonical[-1]}")
-        if canonical[0] > n - 1:
-            raise DomainError(
-                f"degree {canonical[0]} exceeds n-1 = {n - 1}; no simple graph can realize it"
-            )
-        if sum(canonical) % 2 != 0:
-            raise DomainError("degree sum must be even")
+        _check_degrees(len(canonical), canonical[-1], canonical[0], sum(canonical))
 
     @property
     def n(self) -> int:
@@ -87,7 +96,9 @@ class DegreeSequence:
         """Parse ``"4,4,3,1"`` or run-length shorthand ``"4^2,3,1"``.
 
         A token is a run of ASCII digits, optionally followed by ``^`` and a
-        repeat count, with whitespace allowed around it."""
+        repeat count, with whitespace allowed around it.  The runs are
+        checked as a whole before the degree list is built, so an invalid
+        sequence is refused without allocating its repeats."""
         tokens = text.split(",")
         if text.isascii() and all(map(str.isdigit, tokens)):
             # plain digits only: convert the whole list at once; a token past
@@ -98,7 +109,7 @@ class DegreeSequence:
                 pass
             else:
                 return cls(plain)
-        degs: list[int] = []
+        runs: list[tuple[int, int]] = []
         for raw in tokens:
             token = raw.strip()
             value, caret, repeat = token.partition("^")
@@ -107,14 +118,20 @@ class DegreeSequence:
             try:
                 degree = int(value)
                 count = int(repeat) if caret else 1
-                run = [degree] * count
-            except (ValueError, OverflowError):
-                # CPython's digit limit on int(), or a count past sys.maxsize
+            except ValueError:
+                # CPython's digit limit on int()
                 raise ParseError(f"degree token {token!r} is too large") from None
+            if count > sys.maxsize:
+                # longer than any list can be
+                raise ParseError(f"degree token {token!r} is too large")
             if count < 1:
                 raise ParseError(f"bad repeat count in {token!r}")
-            degs.extend(run)
-        return cls(tuple(degs))
+            runs.append((degree, count))
+        degrees, counts = zip(*runs)
+        _check_degrees(
+            sum(counts), min(degrees), max(degrees), sum(map(operator.mul, degrees, counts))
+        )
+        return cls(tuple(chain.from_iterable([d] * c for d, c in runs)))
 
     def to_text(self) -> str:
         """Serialize in plain comma form."""
@@ -271,21 +288,24 @@ def check_optimality_conditions(seq: DegreeSequence) -> OptimalityConditions:
 
 
 def majorization_compare(a: Degreeish, b: Degreeish) -> MajorizationOrder:
-    """Compare two sequences in the dominance (majorization) order."""
+    """Compare two sequences in the dominance (majorization) order.
+
+    Of two distinct non-increasing sequences with equal length and sum, only
+    the lexicographically smaller can lie below the other (where they first
+    differ, the prefix sum of the one above pulls ahead), so one prefix-sum
+    pass decides the pair."""
     da = _as_desc_list(a)
     db = _as_desc_list(b)
     if len(da) != len(db) or sum(da) != sum(db):
         return MajorizationOrder.INCOMPARABLE
     if da == db:
         return MajorizationOrder.EQUAL
-    pa = list(accumulate(da))
-    pb = list(accumulate(db))
-    a_below = all(x <= y for x, y in zip(pa, pb))
-    b_below = all(y <= x for x, y in zip(pa, pb))
-    if a_below:
-        return MajorizationOrder.A_BELOW_B
-    if b_below:
-        return MajorizationOrder.B_BELOW_A
+    if da < db:
+        lo, hi, order = da, db, MajorizationOrder.A_BELOW_B
+    else:
+        lo, hi, order = db, da, MajorizationOrder.B_BELOW_A
+    if all(map(operator.le, accumulate(lo), accumulate(hi))):
+        return order
     return MajorizationOrder.INCOMPARABLE
 
 

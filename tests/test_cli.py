@@ -55,6 +55,32 @@ def test_validate_run_length_bicyclic():
     assert res["conditions"]["verdict"] is True
 
 
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ("1^9999999", "degree sum must be even"),
+        ("0^9999999", "degrees must be positive, got 0"),
+        (
+            "20000000,1^9999999",
+            "degree 20000000 exceeds n-1 = 9999999; no simple graph can realize it",
+        ),
+    ],
+)
+def test_invalid_run_length_sequence_is_refused_before_its_runs_are_built(
+    text, error, capsys
+):
+    # a list of the 10^7 repeats alone would take 80 MB
+    tracemalloc.start()
+    try:
+        code, out, err = _main_in_process(("validate", text), capsys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"error": error}
+    assert peak < 4 * 2**20
+
+
 def test_exit_codes():
     assert run_cli("validate", "x,y").returncode == 2
     assert run_cli("validate", "2,2,1").returncode == 1  # odd sum

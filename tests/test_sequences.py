@@ -1,5 +1,9 @@
 """Tests for degree-sequence validation, classification, and majorization."""
 
+import random
+from collections import defaultdict
+from itertools import accumulate, combinations_with_replacement
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -182,6 +186,24 @@ def test_unsorted_input_is_sorted_with_flag():
 
 
 @pytest.mark.parametrize(
+    "make", [DegreeSequence, lambda d: DegreeSequence.parse(",".join(map(str, d)))],
+    ids=["constructor", "parse"],
+)
+@pytest.mark.parametrize(
+    "degrees, resorted",
+    [((2, 2, 1, 1), False), ((1, 2, 2, 1), True), ((2, 1, 2, 1), True), ((2, 2, 2), False)],
+)
+def test_resorted_is_set_only_by_the_class_and_only_for_unsorted_input(
+    make, degrees, resorted
+):
+    with pytest.raises(TypeError):
+        DegreeSequence(degrees, resorted=resorted)
+    seq = make(degrees)
+    assert seq.degrees == tuple(sorted(degrees, reverse=True))
+    assert seq.resorted is resorted
+
+
+@pytest.mark.parametrize(
     "degrees", [(0, 1, 1), (3, 1), (2, 2, 1), ()], ids=["zero", "too-big", "odd-sum", "empty"]
 )
 def test_invalid_sequences_rejected(degrees):
@@ -342,6 +364,43 @@ def test_majorization_compare_examples():
     )
     assert majorization_compare((2, 2), (2, 2, 2)) == MajorizationOrder.INCOMPARABLE
     assert majorization_compare((3, 1), (2, 2)) == MajorizationOrder.B_BELOW_A
+
+
+def _compare_two_way(a, b):
+    """Dominance order by testing the prefix sums in both directions."""
+    da, db = sorted(a, reverse=True), sorted(b, reverse=True)
+    if len(da) != len(db) or sum(da) != sum(db):
+        return MajorizationOrder.INCOMPARABLE
+    if da == db:
+        return MajorizationOrder.EQUAL
+    pa, pb = list(accumulate(da)), list(accumulate(db))
+    if all(x <= y for x, y in zip(pa, pb)):
+        return MajorizationOrder.A_BELOW_B
+    if all(y <= x for x, y in zip(pa, pb)):
+        return MajorizationOrder.B_BELOW_A
+    return MajorizationOrder.INCOMPARABLE
+
+
+def test_one_way_comparison_matches_the_two_way_reference():
+    # every non-increasing sequence with entries 0..n for n <= 6, grouped by
+    # length and sum: each ordered pair within a group (equal ones included),
+    # a sample of pairs across groups, and a sample of pairs with shuffled entries
+    groups = defaultdict(list)
+    for n in range(1, 7):
+        for seq in combinations_with_replacement(range(n, -1, -1), n):
+            groups[n, sum(seq)].append(seq)
+    seqs = [seq for group in groups.values() for seq in group]
+    assert len(seqs) == 1274
+    pairs = [(a, b) for group in groups.values() for a in group for b in group]
+    assert len(pairs) == 41938
+    rng = random.Random(0)
+    across = [tuple(rng.sample(seqs, 2)) for _ in range(2000)]
+    assert sum(len(a) != len(b) or sum(a) != sum(b) for a, b in across) > 1500
+    shuffled = [
+        (rng.sample(a, len(a)), rng.sample(b, len(b))) for a, b in rng.sample(pairs, 2000)
+    ]
+    for a, b in pairs + across + shuffled:
+        assert majorization_compare(a, b) == _compare_two_way(a, b), (a, b)
 
 
 _POOL = [
