@@ -281,8 +281,8 @@ def canonical_form(
       leaves the rest of the subtree where the two paths part, as nauty's
       basic scheme does.
 
-    ``perm_cap`` bounds the nodes the pruned search enters; beyond it the
-    search refuses.
+    ``perm_cap`` bounds the nodes the pruned search enters; beyond it, or
+    past Python's recursion limit, the search refuses.
     """
     perm_cap = _as_int(perm_cap, "perm_cap")
     n = g.n
@@ -360,7 +360,12 @@ def canonical_form(
                 return resume
         return len(path)
 
-    search(colors, ncolors, [])
+    try:
+        search(colors, ncolors, [])
+    except RecursionError:
+        raise CapExceededError(
+            f"n = {n}: the canonical form search recurses past Python's recursion limit"
+        ) from None
     assert best is not None
     return tuple((key // n + 1, key % n + 1) for key in best)
 

@@ -73,20 +73,8 @@ class NeighborTransfer:
     moved: tuple[int, ...]
 
 
-@dataclass(slots=True)
-class _Incumbent:
-    """Branch-and-bound state: the best M2 found so far and the nodes entered."""
-
-    m2: int = -1
-    nodes: int = 0
-
-
-def _iter_edges(
-    targets: Sequence[int],
-    connected_only: bool,
-    incumbent: Optional[_Incumbent] = None,
-    twins: bool = False,
-) -> Iterator[tuple[tuple[int, int], ...]]:
+@dataclass
+class _Walk:
     """Yield each labeled realization of d(v_i) = targets[i] (0-based) once,
     as a lexicographically sorted tuple of 0-based edges, in lexicographic
     order.  With ``connected_only`` a full row is dropped as soon as the
@@ -95,16 +83,18 @@ def _iter_edges(
     A leaf needs no connectivity test of its own.  The targets are positive,
     so a leaf is reached through a row, and that row leaves no vertex with
     unmet degree: the prune has already dropped it unless the component of
-    its row vertex is every vertex.
+    its row vertex is every vertex.  ``nodes`` counts the search nodes
+    entered.  A walk is iterated once: an abandoned one leaves ``res``,
+    ``adj`` and ``edges`` in the middle of a row.
 
-    With an ``incumbent`` the walk is a branch-and-bound for the largest
-    index (``targets`` must be non-increasing): a child is entered only if
-    the index of its placed edges plus the best pairing of the remaining
-    stubs exceeds ``incumbent.m2``.  That pairing lists each vertex's target
-    degree once per remaining stub, in descending order, and sums
-    w0*w1 + w2*w3 + ...; by the rearrangement inequality no completion does
-    better.  Each leaf yielded then beats every earlier one, so the last is
-    the lexicographically smallest maximum.
+    With ``bound`` the walk is a branch-and-bound for the largest index
+    (``targets`` must be non-increasing): a child is entered only if the
+    index of its placed edges plus the best pairing of the remaining stubs
+    exceeds ``m2``, the index of the last leaf yielded.  That pairing lists
+    each vertex's target degree once per remaining stub, in descending
+    order, and sums w0*w1 + w2*w3 + ...; by the rearrangement inequality no
+    completion does better.  Each leaf yielded then beats every earlier one,
+    so the last is the lexicographically smallest maximum.
 
     With ``twins`` the walk skips interchangeable vertices.  At row i the
     candidates j < k are twins when ``res[j] == res[k]`` and
@@ -118,15 +108,32 @@ def _iter_edges(
     lexicographically smallest maximum; the other labeled graphs are not, so
     counting needs ``twins`` off.
     """
-    n = len(targets)
-    full = (1 << n) - 1
-    res = list(targets)
-    adj = [0] * n
-    edges: list[tuple[int, int]] = []
 
-    def sealed(v: int) -> bool:
+    targets: Sequence[int]
+    connected_only: bool
+    bound: bool = False
+    twins: bool = False
+
+    def __post_init__(self) -> None:
+        self.res = list(self.targets)
+        self.adj = [0] * len(self.targets)
+        self.edges: list[tuple[int, int]] = []
+        self.m2 = -1
+        self.nodes = 0
+
+    def __iter__(self) -> Iterator[tuple[tuple[int, int], ...]]:
+        try:
+            yield from self.row(0, 0)
+        except RecursionError:
+            raise CapExceededError(
+                f"n = {len(self.targets)}: the search recurses once per row, "
+                "past Python's recursion limit"
+            ) from None
+
+    def sealed(self, v: int) -> bool:
         """Whether v's component has no vertex with unmet degree and is not
         every vertex."""
+        res, adj = self.res, self.adj
         comp = frontier = 1 << v
         while frontier:
             nxt = 0
@@ -139,12 +146,13 @@ def _iter_edges(
                 frontier ^= low
             frontier = nxt & ~comp
             comp |= frontier
-        return comp != full
+        return comp != (1 << len(res)) - 1
 
-    def pairing(start: int) -> int:
+    def pairing(self, start: int) -> int:
+        res, targets = self.res, self.targets
         total = 0
         carry = 0
-        for v in range(start, n):
+        for v in range(start, len(res)):
             r = res[v]
             if r:
                 t = targets[v]
@@ -157,10 +165,11 @@ def _iter_edges(
                     carry = t
         return total
 
-    def pick(i: int, cand: list[int], pred: list[int], p: int, m2: int) -> Iterator[int]:
+    def pick(self, i: int, cand: list[int], pred: list[int], p: int, m2: int) -> Iterator[int]:
         """Place i's remaining edges to cand[p:] one at a time, and yield the
         index so far at each full row.  pred[r] is the twin before cand[r],
         or -1; cand[r] is taken only once that twin is adjacent to i."""
+        res, adj, edges, targets = self.res, self.adj, self.edges, self.targets
         bit_i = 1 << i
         t_i = targets[i]
         for r in range(p, len(cand) - res[i] + 1):
@@ -175,7 +184,7 @@ def _iter_edges(
             edges.append((i, j))
             placed = m2 + t_i * targets[j]
             if res[i]:
-                yield from pick(i, cand, pred, r + 1, placed)
+                yield from self.pick(i, cand, pred, r + 1, placed)
             else:
                 yield placed
             edges.pop()
@@ -184,34 +193,32 @@ def _iter_edges(
             res[j] += 1
             res[i] += 1
 
-    def row(i: int, m2: int) -> Iterator[tuple[tuple[int, int], ...]]:
-        if incumbent is not None:
-            incumbent.nodes += 1
+    def row(self, i: int, m2: int) -> Iterator[tuple[tuple[int, int], ...]]:
+        res = self.res
+        n = len(res)
+        self.nodes += 1
         while i < n and res[i] == 0:
             i += 1
         if i == n:
-            if incumbent is not None:
-                incumbent.m2 = m2
-            yield tuple(edges)
+            self.m2 = m2
+            yield tuple(self.edges)
             return
         cand = [j for j in range(i + 1, n) if res[j] > 0]
         pred = [-1] * len(cand)
-        if twins:
+        if self.twins:
             last: dict[tuple[int, int], int] = {}
             for r, j in enumerate(cand):
-                key = (res[j], adj[j])
+                key = (res[j], self.adj[j])
                 pred[r] = last.get(key, -1)
                 last[key] = j
         # recursing from this loop, not through pick, keeps the stack at
         # one frame per row plus one row's edges
-        for placed in pick(i, cand, pred, 0, m2):
-            if incumbent is not None and placed + pairing(i + 1) <= incumbent.m2:
+        for placed in self.pick(i, cand, pred, 0, m2):
+            if self.bound and placed + self.pairing(i + 1) <= self.m2:
                 continue
-            if connected_only and sealed(i):
+            if self.connected_only and self.sealed(i):
                 continue
-            yield from row(i + 1, placed)
-
-    yield from row(0, 0)
+            yield from self.row(i + 1, placed)
 
 
 def _distinct_assignments(degrees: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
@@ -245,7 +252,7 @@ def enumerate_realizations(
     With ``isomorphism_reduce`` only the first representative of each
     isomorphism class is yielded.  Every class has a labeling with
     d(v_i) = d_i, the first assignment walked, so only that assignment is
-    walked, with twin pruning (see ``_iter_edges``), and each graph it
+    walked, with twin pruning (see ``_Walk``), and each graph it
     yields is canonicalized; the later assignments would yield only
     repeats.  More than ``cap`` vertices raise ``CapExceededError``; only
     the CLI reads ``ZAGREBMAX_ORACLE_CAP``."""
@@ -259,8 +266,7 @@ def enumerate_realizations(
         [seq.degrees] if isomorphism_reduce else _distinct_assignments(seq.degrees)
     )
     for assignment in assignments:
-        walk = _iter_edges(assignment, connected_only, twins=isomorphism_reduce)
-        for edges in walk:
+        for edges in _Walk(assignment, connected_only, twins=isomorphism_reduce):
             g = SimpleGraph(seq.n, [(u + 1, v + 1) for u, v in edges])
             if isomorphism_reduce:
                 key = canonical_form(g)
@@ -288,16 +294,16 @@ def search_max_m2(seq: DegreeSequence, cap: int = DEFAULT_CAP) -> OracleResult:
         raise DomainError(
             f"({seq.to_text()}) has no connected realization; search space is empty"
         )
-    incumbent = _Incumbent()
+    walk = _Walk(seq.degrees, True, bound=True, twins=True)
     best_edges: Optional[tuple[tuple[int, int], ...]] = None
-    for best_edges in _iter_edges(seq.degrees, True, incumbent, twins=True):
+    for best_edges in walk:
         pass
     if best_edges is None:
         raise DomainError(
             f"internal: ({seq.to_text()}) passed realizability but produced no graph"
         )
     witness = SimpleGraph(seq.n, [(u + 1, v + 1) for u, v in best_edges])
-    return OracleResult(max_m2=incumbent.m2, witness=witness, nodes=incumbent.nodes)
+    return OracleResult(max_m2=walk.m2, witness=witness, nodes=walk.nodes)
 
 
 def apply_edge_swap(g: SimpleGraph, move: EdgeSwap) -> SimpleGraph:

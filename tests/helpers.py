@@ -23,7 +23,7 @@ from zagrebmax import (
     majorization_compare,
     MajorizationOrder,
 )
-from zagrebmax.oracle import _distinct_assignments, _Incumbent
+from zagrebmax.oracle import _distinct_assignments
 from zagrebmax.sequences import _as_int
 
 SEVEN_VERTEX_GREEDY = SimpleGraph(
@@ -322,8 +322,17 @@ def canonical_form_by_permutations(g, perm_cap=2_000_000):
 
 # --- the realization walk by whole combinations, kept as the reference ------
 #
-# oracle._iter_edges and its twin-class subset generator as they were before
-# the walk placed each edge of a row on its own; the only change is the names.
+# The realization walk (oracle._Walk) and its twin-class subset generator as
+# they were before the walk placed each edge of a row on its own, when it was
+# a generator function with a separate incumbent; the only change is the names.
+
+
+@dataclass
+class Incumbent:
+    """Branch-and-bound state: the best M2 found so far and the nodes entered."""
+
+    m2: int = -1
+    nodes: int = 0
 
 
 def twin_combinations(
@@ -357,7 +366,7 @@ def twin_combinations(
 def iter_edges_by_combinations(
     targets: Sequence[int],
     connected_only: bool,
-    incumbent: Optional[_Incumbent] = None,
+    incumbent: Optional[Incumbent] = None,
     twins: bool = False,
 ) -> Iterator[tuple[tuple[int, int], ...]]:
     """Yield each labeled realization of d(v_i) = targets[i] (0-based) once,
@@ -506,7 +515,7 @@ def search_unpruned(seq):
     """Reference branch-and-bound: the same walk and bound as
     ``search_max_m2`` without twin pruning.  Returns (largest M2, smallest
     maximal edge tuple with 1-based labels, nodes entered)."""
-    incumbent = _Incumbent()
+    incumbent = Incumbent()
     best = None
     for best in iter_edges_by_combinations(seq.degrees, True, incumbent):
         pass

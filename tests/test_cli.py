@@ -345,6 +345,19 @@ def test_oracle_cap_env_var():
     assert proc.returncode == 3
 
 
+def test_oracle_past_the_recursion_limit_exits_3_with_one_json_line(capsys):
+    # the walk recurses once per row, so C_1500 passes Python's recursion
+    # limit; the CLI reports it as a cap error, not a traceback
+    argv = ("oracle", "2^1500", "--cap", "1500", "--no-timing")
+    code, out, err = _main_in_process(argv, capsys)
+    assert (code, out) == (3, "")
+    assert err.count("\n") == 1
+    assert json.loads(err) == {
+        "error": "n = 1500: the search recurses once per row, "
+        "past Python's recursion limit"
+    }
+
+
 def test_oracle_cap_env_var_malformed():
     for argv in (("oracle", "4,2,2,2,2"), ("sweep", "--n", "5", "--excess", "0")):
         proc = run_cli(*argv, env_extra={"ZAGREBMAX_ORACLE_CAP": "abc"})

@@ -435,6 +435,16 @@ def test_canonical_form_search_tree_size(g, nodes):
         canonical_form(g, perm_cap=nodes - 1)
 
 
+@pytest.mark.slow
+def test_canonical_form_past_the_recursion_limit_is_a_cap_error():
+    # individualizing one leaf of K_{1,k} leaves the other k - 1 in one cell,
+    # so the search goes k levels deep: past Python's recursion limit at
+    # k = 1,100, where it refuses as it does past perm_cap
+    star = SimpleGraph(1101, [(1, v) for v in range(2, 1102)])
+    with pytest.raises(CapExceededError, match="^n = 1101: .* recursion limit$"):
+        canonical_form(star)
+
+
 @pytest.mark.parametrize("cap", ["10", 2.5])
 def test_canonical_form_rejects_non_integer_cap(cap):
     message = re.escape(f"perm_cap {cap!r} is not an integer")

@@ -28,6 +28,7 @@ from zagrebmax import (
     second_zagreb,
 )
 from helpers import (
+    Incumbent,
     SEVEN_VERTEX_BETTER,
     SEVEN_VERTEX_GREEDY,
     brute_force_buckets,
@@ -164,17 +165,16 @@ def test_twin_combinations_are_the_prefix_respecting_subsets():
 
 def _assert_same_walk(targets, modes, with_incumbent):
     for connected_only, twins in modes:
-        got = list(orc._iter_edges(targets, connected_only, twins=twins))
+        got = list(orc._Walk(targets, connected_only, twins=twins))
         want = list(iter_edges_by_combinations(targets, connected_only, twins=twins))
         assert got == want, (targets, connected_only, twins)
     if not with_incumbent:
         return
     for connected_only in (False, True):
         for twins in (False, True):
-            a, b = orc._Incumbent(), orc._Incumbent()
-            got = list(orc._iter_edges(targets, connected_only, a, twins))
+            walk, b = orc._Walk(targets, connected_only, True, twins), Incumbent()
             want = list(iter_edges_by_combinations(targets, connected_only, b, twins))
-            assert (got, a.nodes, a.m2) == (want, b.nodes, b.m2), (
+            assert (list(walk), walk.nodes, walk.m2) == (want, b.nodes, b.m2), (
                 targets,
                 connected_only,
                 twins,
@@ -213,6 +213,38 @@ def test_search_depth_is_rows_plus_one_row():
     res = search_max_m2(DegreeSequence.parse("59^60"), cap=60)
     assert res.nodes == 60
     assert res.max_m2 == 59 * 59 * 60 * 59 // 2
+
+
+def test_walk_past_the_recursion_limit_is_a_cap_error():
+    # the walk recurses once per row: C_1500 passes Python's default limit
+    # of 1,000 frames, and both entry points refuse it like an input over
+    # the cap.  C_400 is still answered inside pytest's deeper stack
+    cycle = DegreeSequence.parse("2^1500")
+    message = "^n = 1500: the search recurses once per row, past Python's"
+    with pytest.raises(CapExceededError, match=message):
+        search_max_m2(cycle, cap=1500)
+    with pytest.raises(CapExceededError, match=message):
+        next(enumerate_realizations(cycle, cap=1500))
+    res = search_max_m2(DegreeSequence.parse("2^400"), cap=400)
+    assert (res.max_m2, res.nodes) == (1600, 400)
+
+
+def test_walk_run_to_its_end_restores_its_state():
+    # every placement is undone on the way back, in every mode
+    flags = (False, True)
+    every_mode = [(c, b, t) for c in flags for b in flags for t in flags]
+    checked = 0
+    for n in range(1, 8):
+        for c in range(-1, n * (n - 1) // 2 - n + 1):
+            for seq in connected_realizable_sequences(n, c):
+                for connected_only, bound, twins in every_mode:
+                    walk = orc._Walk(seq.degrees, connected_only, bound, twins)
+                    for _ in walk:
+                        pass
+                    assert walk.res == list(seq.degrees), seq.to_text()
+                    assert walk.adj == [0] * n and walk.edges == [], seq.to_text()
+                checked += 1
+    assert checked == 332
 
 
 def test_distinct_assignments_match_the_permutation_set():
@@ -267,7 +299,7 @@ def test_library_reads_no_cap_variable(raw, monkeypatch):
 
 def labeled_count(seq):
     """Connected realizations under the canonical assignment d(v_i) = d_i."""
-    return sum(1 for _ in orc._iter_edges(seq.degrees, True))
+    return sum(1 for _ in orc._Walk(seq.degrees, True))
 
 
 def test_oracle_examples():
@@ -349,7 +381,7 @@ def test_branch_and_bound_matches_exhaustive_scan():
             for seq in connected_realizable_sequences(n, c):
                 d = seq.degrees
                 best_m2, best_edges = -1, None
-                for edges in orc._iter_edges(d, True):
+                for edges in orc._Walk(d, True):
                     m2 = sum(d[u] * d[v] for u, v in edges)
                     if m2 > best_m2:
                         best_m2, best_edges = m2, edges
