@@ -35,12 +35,16 @@ EXIT_PARSE = 2
 EXIT_CAP = 3
 
 
+# json.dumps builds an encoder per call for any non-default option
+_COMPACT = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def _emit(report: dict, pretty: bool) -> None:
     # edge tuples go out as they are: json writes a tuple as an array
     if pretty:
         print(json.dumps(report, indent=2, sort_keys=True))
     else:
-        print(json.dumps(report, sort_keys=True, separators=(",", ":")))
+        print(_COMPACT.encode(report))
 
 
 def _digits(text: str) -> int:
@@ -259,8 +263,9 @@ def cmd_sweep(args, n, excess) -> tuple[dict, list[str]]:
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process; parsing leaves it unchanged."""
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each command's subparser by name, built once
+    per process; parsing leaves them unchanged."""
     parser = argparse.ArgumentParser(
         prog="zagrebmax",
         description="Extremal second-Zagreb-index graphs for degree sequences.",
@@ -320,11 +325,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--verify-monotone", action="store_true")
     p.add_argument("--cap", type=_digits, default=None)
     p.set_defaults(func=cmd_sweep, inputs=("n", "excess"))
-    return parser
+    commands = sub.choices
+    for name, p in commands.items():
+        p.set_defaults(command=name)
+    return parser, commands
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser, commands = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # a command named first is parsed by its subparser alone; anything else
+    # (help, no or an unknown command, an option before the command) takes
+    # the top-level parser
+    sub = commands.get(argv[0]) if argv else None
+    args = parser.parse_args(argv) if sub is None else sub.parse_args(argv[1:])
     inputs = {key: getattr(args, key) for key in args.inputs}
     try:
         # in declared order, so majorize's a fails wholly before b is read

@@ -45,6 +45,9 @@ from .graphs import SimpleGraph, canonical_form, is_connected
 from .sequences import DegreeSequence, _as_int, is_connected_realizable, is_graphic
 
 DEFAULT_CAP = 10
+# `_Walk.pairing` for a child with no connected completion: low enough that
+# no placed index plus it beats an incumbent
+_CUT = -1 << 62
 
 
 @dataclass(frozen=True)
@@ -96,6 +99,18 @@ class _Walk:
     completion does better.  Each leaf yielded then beats every earlier one,
     so the last is the lexicographically smallest maximum.
 
+    With ``connected_only`` and n > 2 the pairing also knows that no two
+    leaves (target 1) are adjacent, since such an edge would be a component
+    of its own.  The leaves come last in the non-increasing targets, so
+    ``pairing`` scans back from the last non-leaf vertex, gives each
+    remaining leaf stub the smallest remaining non-leaf stub, and pairs the
+    rest as above.  No completion does better: if a leaf takes a stub of
+    weight a while a smaller stub b is paired with c >= 1, swapping a and b
+    changes the sum by (a - b)(c - 1) >= 0.  A child with more leaf stubs
+    than non-leaf stubs has no connected completion and is cut.  Without
+    the guard the bound would drop 2K2 from a disconnected walk on 1^4, and
+    K2 itself is two adjacent leaves.
+
     With ``twins`` the walk skips interchangeable vertices.  At row i the
     candidates j < k are twins when ``res[j] == res[k]`` and
     ``adj[j] == adj[k]`` before the row (target = residual + placed degree,
@@ -120,6 +135,11 @@ class _Walk:
         self.edges: list[tuple[int, int]] = []
         self.m2 = -1
         self.nodes = 0
+        n = len(self.targets)
+        # the leaves, targets 1, come last in a non-increasing bound walk
+        self.leaf_start = n
+        if self.bound and self.connected_only and n > 2:
+            self.leaf_start = n - self.targets.count(1)
 
     def __iter__(self) -> Iterator[tuple[tuple[int, int], ...]]:
         try:
@@ -149,13 +169,25 @@ class _Walk:
         return comp != (1 << len(res)) - 1
 
     def pairing(self, start: int) -> int:
+        # from the back: the leaf stubs past leaf_start take the smallest
+        # stubs, and the rest pair up from the smallest, the same pairs as
+        # from the largest since the stub count is even
         res, targets = self.res, self.targets
-        total = 0
-        carry = 0
-        for v in range(start, len(res)):
+        end = self.leaf_start
+        owed = sum(res[end:])
+        total = carry = 0
+        for v in range(end - 1, start - 1, -1):
             r = res[v]
             if r:
                 t = targets[v]
+                if owed:
+                    if owed >= r:
+                        total += r * t
+                        owed -= r
+                        continue
+                    total += owed * t
+                    r -= owed
+                    owed = 0
                 if carry:
                     total += carry * t
                     r -= 1
@@ -163,7 +195,7 @@ class _Walk:
                 total += (r >> 1) * t * t
                 if r & 1:
                     carry = t
-        return total
+        return _CUT if owed else total
 
     def pick(self, i: int, cand: list[int], pred: list[int], p: int, m2: int) -> Iterator[int]:
         """Place i's remaining edges to cand[p:] one at a time, and yield the

@@ -385,8 +385,11 @@ def iter_edges_by_combinations(
     stubs exceeds ``incumbent.m2``.  That pairing lists each vertex's target
     degree once per remaining stub, in descending order, and sums
     w0*w1 + w2*w3 + ...; by the rearrangement inequality no completion does
-    better.  Each leaf yielded then beats every earlier one, so the last is
-    the lexicographically smallest maximum.
+    better.  With ``connected_only`` and n > 2 each leaf stub (target 1)
+    first takes one of the smallest non-leaf stubs, and a child with more
+    leaf stubs than non-leaf stubs is cut.  Each leaf yielded then beats
+    every earlier one, so the last is the lexicographically smallest
+    maximum.
 
     With ``twins`` the walk skips interchangeable vertices.  At row i the
     candidates j < k are twins when ``res[j] == res[k]`` and
@@ -420,20 +423,20 @@ def iter_edges_by_combinations(
         return comp
 
     def pairing(start: int) -> int:
+        stubs = sorted(
+            (targets[v] for v in range(start, n) for _ in range(res[v])), reverse=True
+        )
         total = 0
-        carry = 0
-        for v in range(start, n):
-            r = res[v]
-            if r:
-                t = targets[v]
-                if carry:
-                    total += carry * t
-                    r -= 1
-                    carry = 0
-                total += (r >> 1) * t * t
-                if r & 1:
-                    carry = t
-        return total
+        if connected_only and n > 2:
+            # no two leaves adjacent: each leaf stub takes one of the
+            # smallest non-leaf stubs
+            leaves = stubs.count(1)
+            inner = stubs[: len(stubs) - leaves]
+            if leaves > len(inner):
+                return -1 << 62
+            total = sum(inner[len(inner) - leaves :])
+            stubs = inner[: len(inner) - leaves]
+        return total + sum(stubs[k] * stubs[k + 1] for k in range(0, len(stubs) - 1, 2))
 
     def rec(i: int, m2: int) -> Iterator[tuple[tuple[int, int], ...]]:
         if incumbent is not None:

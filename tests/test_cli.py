@@ -506,6 +506,40 @@ def test_repeated_main_calls_match_fresh_interpreters(monkeypatch, capsys):
     assert cli.build_parser() is cli.build_parser()
 
 
+COMMANDS = (
+    "validate", "construct", "m2", "bicyclic-max", "oracle", "improve", "majorize", "sweep"
+)
+
+
+def test_unrecognized_argument_is_reported_by_the_command(monkeypatch, capsys):
+    # the command's own parser reads everything after the command name
+    monkeypatch.setenv("COLUMNS", "80")
+    code, out, err = _main_in_process(("validate", "4,4,3,3,2,1,1", "--bogus"), capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: zagrebmax validate ")
+    assert err.endswith("zagrebmax validate: error: unrecognized arguments: --bogus\n")
+
+
+@pytest.mark.parametrize(
+    "argv", [(), ("nope",), ("--pretty", "validate", "x"), ("-h",)]
+)
+def test_argv_naming_no_command_first_takes_the_top_level_parser(argv, capsys):
+    code, out, err = _main_in_process(argv, capsys)
+    if argv == ("-h",):
+        assert (code, err) == (0, "")
+        assert "{" + ",".join(COMMANDS) + "}" in out
+    else:
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: zagrebmax [-h]")
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_every_command_has_help(command, capsys):
+    code, out, err = _main_in_process((command, "--help"), capsys)
+    assert (code, err) == (0, "")
+    assert out.startswith(f"usage: zagrebmax {command} ")
+
+
 def test_majorize_with_chain():
     out = run_json("majorize", "3,3,2,2,2", "4,2,2,2,2", "--chain")
     assert out["result"]["order"] == "a_below_b"

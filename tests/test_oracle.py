@@ -411,6 +411,66 @@ def test_twin_pruned_search_matches_the_unpruned_search():
     assert nodes < unpruned_nodes
 
 
+def _drained_maximum(degrees):
+    # the walk without a bound, twin-pruned: it still yields the
+    # lexicographically smallest graph of every class, in order, so its first
+    # leaf of the largest index is the lexicographically smallest maximum
+    walk = orc._Walk(degrees, True, twins=True)
+    best_m2, best_edges = -1, None
+    for edges in walk:
+        if walk.m2 > best_m2:
+            best_m2, best_edges = walk.m2, edges
+    return best_m2, tuple((u + 1, v + 1) for u, v in best_edges)
+
+
+def _assert_search_matches_the_drained_walk(orders, excesses=range(-1, 9)):
+    checked = 0
+    for n in orders:
+        for c in excesses:
+            for seq in connected_realizable_sequences(n, c):
+                res = search_max_m2(seq, cap=n)
+                want = _drained_maximum(seq.degrees)
+                assert (res.max_m2, res.witness.edges) == want, seq.to_text()
+                checked += 1
+    return checked
+
+
+def test_search_matches_the_drained_walk_up_to_n9():
+    # the pairing bound, leaf rule included, never cuts the first maximum
+    assert _assert_search_matches_the_drained_walk(range(2, 10)) == 1893
+
+
+@pytest.mark.slow
+def test_search_matches_the_drained_walk_at_n10_n11():
+    # the drained walk takes about 70 s at n = 10; at n = 11 it passes
+    # 10^6 leaves by c = 4 and grows about 2.8x per unit of c
+    assert _assert_search_matches_the_drained_walk([10]) == 1907
+    assert _assert_search_matches_the_drained_walk([11], range(-1, 5)) == 720
+
+
+def test_leaf_rule_needs_connected_mode_and_three_vertices():
+    # 2K2 joins leaves, which only a disconnected walk may do
+    assert list(orc._Walk((1, 1, 1, 1), False, bound=True)) == [((0, 1), (2, 3))]
+    # K2 is two adjacent leaves; P3 is the smallest input the rule applies to
+    for text, m2, edges in (("1,1", 1, ((1, 2),)), ("2,1,1", 4, ((1, 2), (1, 3)))):
+        res = search_max_m2(DegreeSequence.parse(text))
+        assert (res.max_m2, res.witness.edges) == (m2, edges)
+
+
+def test_leaf_rule_cuts_the_hard_inputs():
+    # 1,594 nodes without the leaf rule
+    res = search_max_m2(DegreeSequence.parse("3^8,2,1,1"), cap=11)
+    assert (res.max_m2, res.nodes) == (110, 165)
+    # 2,414,650 nodes and about 30 s without the leaf rule
+    res = search_max_m2(DegreeSequence.parse("4^8,3^3,1^3"), cap=14)
+    assert (res.max_m2, res.nodes) == (291, 471)
+    assert res.witness.edges == (
+        (1, 2), (1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (2, 5), (3, 4),
+        (3, 6), (4, 6), (5, 7), (5, 8), (6, 7), (6, 8), (7, 8), (7, 9),
+        (8, 9), (9, 10), (10, 11), (10, 12), (11, 13), (11, 14),
+    )
+
+
 def test_search_matches_brute_force_maxima_up_to_n6():
     # a reference that shares no code with the walk: every labeled graph on
     # n vertices, scored directly
