@@ -13,7 +13,6 @@ rejection, 2 parse error, 3 resource cap.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import os
@@ -40,7 +39,7 @@ _COMPACT = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
 def _emit(report: dict, pretty: bool) -> None:
-    # edge tuples go out as they are: json writes a tuple as an array
+    # records and tuples go out as they are: json writes a tuple as an array
     if pretty:
         print(json.dumps(report, indent=2, sort_keys=True))
     else:
@@ -108,7 +107,8 @@ def cmd_validate(args, seq) -> tuple[dict, list[str]]:
     warnings = ["input was not non-increasing; sorted"] if seq.resorted else []
     graphic = sq.is_graphic(seq)
     realizable = sq.is_connected_realizable(seq)
-    cls = dataclasses.asdict(sq.classify(seq)) if realizable else None
+    # copied: bare vars() would hand out the record's own __dict__
+    cls = dict(vars(sq.classify(seq))) if realizable else None
     rep = sq.check_optimality_conditions(seq)
     result = {
         "graphic": graphic,
@@ -138,9 +138,9 @@ def cmd_construct(args, seq) -> Optional[tuple[dict, list[str]]]:
         "m": trace.graph.m,
         "edges": trace.graph.edges,
         "m2": gr.second_zagreb(trace.graph),
-        "ordering": list(trace.ordering),
-        "layers": list(trace.layers),
-        "triangles": [list(t) for t in trace.triangles],
+        "ordering": trace.ordering,
+        "layers": trace.layers,
+        "triangles": trace.triangles,
     }
     return result, list(trace.warnings)
 
@@ -161,7 +161,7 @@ def cmd_bicyclic_max(args, seq) -> tuple[dict, list[str]]:
         "case": res.case_id,
         "value": res.value,
         "family": res.label(),
-        "params": list(res.params),
+        "params": res.params,
         "edges": res.graph.edges,
     }
     return result, []
@@ -213,12 +213,6 @@ def cmd_majorize(args, a, b) -> tuple[dict, list[str]]:
     return result, []
 
 
-def _max_for(seq: sq.DegreeSequence, excess: int, cap: int) -> tuple[int, str]:
-    if excess == 1:
-        return bc.bicyclic_max_m2(seq).value, "closed_form"
-    return orc.search_max_m2(seq, cap=cap).max_m2, "oracle"
-
-
 def cmd_sweep(args, n, excess) -> tuple[dict, list[str]]:
     cap = _cap(args)
     if n > cap:
@@ -227,7 +221,10 @@ def cmd_sweep(args, n, excess) -> tuple[dict, list[str]]:
     rows = []
     maxima = {}
     for seq in seqs:
-        value, method = _max_for(seq, excess, cap)
+        if excess == 1:
+            value, method = bc.bicyclic_max_m2(seq).value, "closed_form"
+        else:
+            value, method = orc.search_max_m2(seq, cap=cap).max_m2, "oracle"
         maxima[seq.degrees] = value
         rows.append(
             {"sequence": seq.to_text(), "max_m2": value, "method": method}

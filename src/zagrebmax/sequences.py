@@ -179,10 +179,10 @@ class MajorizationOrder(Enum):
 Degreeish = Union[DegreeSequence, Sequence[int], Iterable[int]]
 
 
-def _as_desc_list(seq: Degreeish) -> list[int]:
+def _as_desc(seq: Degreeish) -> tuple[int, ...]:
     if isinstance(seq, DegreeSequence):
-        return list(seq.degrees)
-    return sorted((_as_int(d, "degree") for d in seq), reverse=True)
+        return seq.degrees
+    return tuple(sorted((_as_int(d, "degree") for d in seq), reverse=True))
 
 
 def _erdos_gallai(d: Sequence[int]) -> bool:
@@ -223,7 +223,7 @@ def is_graphic(seq: Degreeish) -> bool:
     """
     if isinstance(seq, DegreeSequence):
         return seq._graphic
-    d = _as_desc_list(seq)
+    d = _as_desc(seq)
     if not d:
         return True
     if d[-1] < 0 or sum(d) % 2 != 0:
@@ -294,8 +294,8 @@ def majorization_compare(a: Degreeish, b: Degreeish) -> MajorizationOrder:
     the lexicographically smaller can lie below the other (where they first
     differ, the prefix sum of the one above pulls ahead), so one prefix-sum
     pass decides the pair."""
-    da = _as_desc_list(a)
-    db = _as_desc_list(b)
+    da = _as_desc(a)
+    db = _as_desc(b)
     if len(da) != len(db) or sum(da) != sum(db):
         return MajorizationOrder.INCOMPARABLE
     if da == db:
@@ -329,10 +329,10 @@ def majorization_chain(a: DegreeSequence, b: DegreeSequence) -> tuple[DegreeSequ
     if not is_graphic(a) or not is_graphic(b):
         raise DomainError("chain endpoints must both be graphic")
     cur = list(a.degrees)
-    target = list(b.degrees)
+    target = b.degrees
     steps = [a]
     guard = sum(abs(x - y) for x, y in zip(accumulate(cur), accumulate(target)))
-    while cur != target:
+    while steps[-1].degrees != target:
         p = next(i for i in range(len(cur)) if cur[i] != target[i])
         q = next(j for j in range(p + 1, len(cur)) if cur[j] > target[j])
         while q + 1 < len(cur) and cur[q + 1] == cur[q]:
@@ -352,7 +352,8 @@ def majorization_chain(a: DegreeSequence, b: DegreeSequence) -> tuple[DegreeSequ
 
 
 def _bounded_partitions(total: int, parts: int, max_part: int) -> Iterator[tuple[int, ...]]:
-    """Non-increasing tuples of ``parts`` entries in [1, max_part] summing to total."""
+    """Non-increasing tuples of ``parts`` entries in [1, max_part] summing to
+    total, in ascending lexicographic order."""
 
     def rec(remaining: int, slots: int, cap: int, acc: list[int]):
         if slots == 0:
@@ -361,7 +362,7 @@ def _bounded_partitions(total: int, parts: int, max_part: int) -> Iterator[tuple
             return
         lo = max(1, remaining - (slots - 1) * cap)
         hi = min(cap, remaining - (slots - 1))
-        for v in range(hi, lo - 1, -1):
+        for v in range(lo, hi + 1):
             acc.append(v)
             yield from rec(remaining - v, slots - 1, v, acc)
             acc.pop()
@@ -379,4 +380,4 @@ def connected_realizable_sequences(n: int, excess: int) -> list[DegreeSequence]:
         return []
     total = 2 * (n + excess)
     candidates = [DegreeSequence(t) for t in _bounded_partitions(total, n, n - 1)]
-    return sorted((s for s in candidates if is_graphic(s)), key=lambda s: s.degrees)
+    return [s for s in candidates if is_graphic(s)]

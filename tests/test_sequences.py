@@ -364,6 +364,13 @@ def test_majorization_compare_examples():
     )
     assert majorization_compare((2, 2), (2, 2, 2)) == MajorizationOrder.INCOMPARABLE
     assert majorization_compare((3, 1), (2, 2)) == MajorizationOrder.B_BELOW_A
+    # a DegreeSequence against degrees given raw, as a tuple or as a list out
+    # of order: a tuple never equals a list, so both are read the same way
+    for raw in ((3, 3, 2, 2, 2), [2, 3, 2, 3, 2]):
+        assert majorization_compare(a, raw) == MajorizationOrder.EQUAL
+        assert majorization_compare(raw, a) == MajorizationOrder.EQUAL
+        assert majorization_compare(raw, b) == MajorizationOrder.A_BELOW_B
+        assert majorization_compare(b, raw) == MajorizationOrder.B_BELOW_A
 
 
 def _compare_two_way(a, b):
@@ -488,6 +495,17 @@ def test_connected_realizable_sequences_listing():
         (4, 1, 1, 1, 1),
     ]
     assert connected_realizable_sequences(3, -2) == []
+    # complete and strictly ascending against an independent enumeration
+    for n in range(1, 10):
+        for c in range(-1, 7):
+            listed = [s.degrees for s in connected_realizable_sequences(n, c)]
+            assert all(map(tuple.__lt__, listed, listed[1:])), (n, c)
+            reference = sorted(
+                t
+                for t in combinations_with_replacement(range(n - 1, 0, -1), n)
+                if sum(t) == 2 * (n + c) and eg_quadratic(t)
+            )
+            assert listed == reference, (n, c)
 
 
 @pytest.mark.parametrize(
