@@ -12,11 +12,12 @@ construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, repeat
 from typing import Sequence
 
 from .constructor import construct_extremal
 from .errors import DomainError
-from .graphs import SimpleGraph, degree_sequence_of, second_zagreb
+from .graphs import SimpleGraph, second_zagreb
 from .sequences import KIND_BICYCLIC, DegreeSequence, _as_int, classify
 
 FAMILY_GLUED = "two_cycles_shared_vertex"
@@ -125,12 +126,13 @@ def build_glued_cycles_with_paths(
     if any(x < 1 for x in lengths):
         raise DomainError(f"path lengths must be >= 1, got {lengths}")
     edges = _glued_cycle_edges(p, q)
-    nxt = p + q
-    n = nxt - 1 + sum(lengths)
-    for length in lengths:
-        path = [1] + list(range(nxt, nxt + length))
-        nxt += length
-        edges += list(zip(path, path[1:]))
+    # path j runs over the labels firsts[j] .. firsts[j+1]-1, hung from 1 by
+    # its first; (v, v+1) lies inside a path unless v+1 starts the next one
+    firsts = list(accumulate(lengths, initial=p + q))
+    n = firsts[-1] - 1
+    starts = set(firsts)
+    edges += zip(repeat(1), firsts[:-1])
+    edges += [(v, v + 1) for v in range(p + q, n) if v + 1 not in starts]
     return SimpleGraph(n, edges)
 
 
@@ -190,10 +192,12 @@ def bicyclic_max_m2(seq: DegreeSequence) -> BicyclicMaxResult:
         value = second_zagreb(graph)
         case_id = 5
 
-    realized = degree_sequence_of(graph)
-    if realized.degrees != seq.degrees:
+    # an isolated vertex leaves a 0 here, which no sequence holds
+    realized = tuple(sorted(graph.degrees()[1:], reverse=True))
+    if realized != seq.degrees:
         raise DomainError(
-            f"internal: witness realizes ({realized.to_text()}), wanted ({seq.to_text()})"
+            f"internal: witness realizes ({','.join(map(str, realized))}), "
+            f"wanted ({seq.to_text()})"
         )
     if case_id != 5:  # case 5's value is already the witness's own index
         index = second_zagreb(graph)

@@ -88,7 +88,7 @@ def _read_graph(path: str) -> gr.SimpleGraph:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     n, edges = gr._edge_list_fields(text)
     # m2 and improve reject a vertex on no edge, which n > 2m + 1 forces;
-    # refuse it before n adjacency lists are built
+    # refuse it before the graph's n degree counts are allocated
     if n > 2 * len(edges) + 1:
         raise DomainError(
             f"header n = {n}, m = {len(edges)}: n > 2m + 1 leaves a vertex on no edge"

@@ -11,6 +11,8 @@ breadth-first ordering with non-increasing degrees.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, repeat
+from operator import lt, sub
 from typing import Optional, Sequence
 
 from .errors import ConstructionError, DomainError
@@ -77,24 +79,18 @@ def construct_extremal(seq: DegreeSequence) -> ConstructionTrace:
     # Each vertex is attached before its turn; else v1..v_{i-1} would be a
     # component of degree sum 2(i-1+c), the rest would average degree 2 with
     # a leaf, so d_i >= 3, and (ii) with i > d1+1 >= c+3 makes that sum larger.
-    deg = [0] * (n + 1)
-    edges: list[tuple[int, int]] = []
-
-    def add_edge(u: int, v: int):
-        edges.append((u, v))
-        deg[u] += 1
-        deg[v] += 1
-
+    placed = [0, c + 2] + [2] * (c + 1)  # then 1 each; v1 holds none
+    parent: list[int] = []  # parent[v-2] attaches v
+    for i, k in enumerate(map(sub, d, chain(placed, repeat(1))), 1):
+        parent += [i] * k
+    if not all(map(lt, parent, range(2, n + 1))):
+        raise ConstructionError("internal: a vertex is not attached before its turn")
+    layer = [0, 0]
+    for p in parent:
+        layer.append(layer[p] + 1)
     triangles = tuple((1, 2, j) for j in range(3, c + 4))
-    for j in range(3, c + 4):
-        add_edge(2, j)
-    layer = [0] * (n + 1)
-    next_child = 2
-    for i in range(1, n + 1):
-        for _ in range(d[i - 1] - deg[i]):
-            add_edge(i, next_child)
-            layer[next_child] = layer[i] + 1
-            next_child += 1
+    edges = [(2, j) for j in range(3, c + 4)]
+    edges += zip(parent, range(2, n + 1))
 
     return ConstructionTrace(
         graph=SimpleGraph(n, edges),

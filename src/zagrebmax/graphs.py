@@ -16,40 +16,61 @@ from .sequences import DegreeSequence, _as_int, _is_digits
 
 
 class SimpleGraph:
-    """Undirected simple graph with integer vertex labels 1..n."""
+    """Undirected simple graph with integer vertex labels 1..n.
 
-    __slots__ = ("n", "edges", "_adj")
+    The value is its vertex count and sorted edge tuple.  Degrees are
+    counted at construction; the adjacency lists are built on first use
+    (``_adjacency``), a cache behind the immutable value, so a graph that
+    is only asked for degrees and edges never builds them."""
+
+    __slots__ = ("n", "edges", "_deg", "_adj")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if type(n) is not int:
             n = _as_int(n, "vertex count")
         if n < 1:
             raise DomainError("graph needs at least one vertex")
-        seen: set[tuple[int, int]] = set()
+        edges = list(edges)  # read a one-shot iterator once
+        deg = [0] * (n + 1)
         # the edges in input order; builders emit them sorted or in a few
         # sorted runs, which timsort merges in about linear time
         normalised: list[tuple[int, int]] = []
-        for u, v in edges:
-            if type(u) is not int or type(v) is not int:
-                u, v = _as_int(u, "vertex"), _as_int(v, "vertex")
-            if not (1 <= u <= n and 1 <= v <= n):
-                raise DomainError(f"edge ({u},{v}) out of range 1..{n}")
-            if u == v:
-                raise DomainError(f"loop at vertex {u}")
-            e = (u, v) if u < v else (v, u)
-            if e in seen:
-                raise DomainError(f"duplicate edge ({e[0]},{e[1]})")
-            seen.add(e)
-            normalised.append(e)
+        append = normalised.append
+        try:
+            for u, v in edges:
+                if type(u) is not int or type(v) is not int:
+                    u, v = _as_int(u, "vertex"), _as_int(v, "vertex")
+                if 1 <= u < v <= n:
+                    append((u, v))
+                elif 1 <= v < u <= n:
+                    append((v, u))
+                else:
+                    break
+                deg[u] += 1
+                deg[v] += 1
+        except (DomainError, TypeError, ValueError):
+            # a label or a pair that is not one: raised again below, unless
+            # a repeat comes first
+            pass
+        if len(normalised) < len(edges) or len(set(normalised)) < len(edges):
+            _check_edges(n, edges)
         normalised.sort()
         self.n = n
         self.edges: tuple[tuple[int, int], ...] = tuple(normalised)
-        adj: list[list[int]] = [[] for _ in range(n + 1)]
-        for u, v in normalised:
-            adj[u].append(v)
-            adj[v].append(u)
-        # filled from the sorted edges, so each list is already ascending
-        self._adj = tuple(map(tuple, adj))
+        self._deg = deg
+        self._adj: tuple[tuple[int, ...], ...] | None = None
+
+    def _adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """Neighbors of each vertex, ascending (entry 0 empty)."""
+        adj = self._adj
+        if adj is None:
+            lists: list[list[int]] = [[] for _ in range(self.n + 1)]
+            for u, v in self.edges:
+                lists[u].append(v)
+                lists[v].append(u)
+            # filled from the sorted edges, so each list is already ascending
+            adj = self._adj = tuple(map(tuple, lists))
+        return adj
 
     @property
     def m(self) -> int:
@@ -62,18 +83,18 @@ class SimpleGraph:
         return v
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        return self._adj[self._vertex(v)]
+        return self._adjacency()[self._vertex(v)]
 
     def degree(self, v: int) -> int:
-        return len(self._adj[self._vertex(v)])
+        return self._deg[self._vertex(v)]
 
     def degrees(self) -> list[int]:
         """Degree of each vertex, indexed by label (entry 0 unused)."""
-        return list(map(len, self._adj))
+        return self._deg.copy()
 
     def has_edge(self, u: int, v: int) -> bool:
         u, v = self._vertex(u), self._vertex(v)
-        return v in self._adj[u]
+        return v in self._adjacency()[u]
 
     def replace_edges(
         self,
@@ -110,6 +131,23 @@ class SimpleGraph:
         return f"SimpleGraph(n={self.n}, m={self.m})"
 
 
+def _check_edges(n: int, edges: list) -> None:
+    """Raise the first fault of ``edges`` in input order: a label that is
+    not an integer, a pair out of range, a loop or a repeat."""
+    seen: set[tuple[int, int]] = set()
+    for u, v in edges:
+        if type(u) is not int or type(v) is not int:
+            u, v = _as_int(u, "vertex"), _as_int(v, "vertex")
+        if not (1 <= u <= n and 1 <= v <= n):
+            raise DomainError(f"edge ({u},{v}) out of range 1..{n}")
+        if u == v:
+            raise DomainError(f"loop at vertex {u}")
+        e = (u, v) if u < v else (v, u)
+        if e in seen:
+            raise DomainError(f"duplicate edge ({e[0]},{e[1]})")
+        seen.add(e)
+
+
 def second_zagreb(g: SimpleGraph) -> int:
     """Sum over all edges of the product of the endpoint degrees."""
     deg = g.degrees()
@@ -128,10 +166,11 @@ def _bfs_layers(g: SimpleGraph, root: int) -> list[int]:
     """Distance of each vertex from ``root`` (entry 0 unused, -1 if unreachable)."""
     dist = [-1] * (g.n + 1)
     dist[root] = 0
+    adj = g._adjacency()
     queue = deque([root])
     while queue:
         v = queue.popleft()
-        for u in g._adj[v]:
+        for u in adj[v]:
             if dist[u] < 0:
                 dist[u] = dist[v] + 1
                 queue.append(u)
@@ -241,7 +280,7 @@ def _twin_classes(g: SimpleGraph) -> list[int]:
     or the same closed neighborhood.  Swapping two such twins is an
     automorphism."""
     # one dict serves both kinds: N(u) = N[v] would put u in N(u)
-    adj = g._adj
+    adj = g._adjacency()
     first: dict[tuple[int, ...], int] = {}
     twin = [0]
     for v in range(1, g.n + 1):

@@ -101,14 +101,17 @@ class DegreeSequence:
         sequence is refused without allocating its repeats."""
         tokens = text.split(",")
         if text.isascii() and all(map(str.isdigit, tokens)):
-            # plain digits only: convert the whole list at once; a token past
+            # plain digits only: convert each distinct token once, then map
+            # the list through them.  A connected sequence with excess c has
+            # k distinct degrees with k(k+1)/2 <= 2(n+c), the least sum of k
+            # distinct positive values, so k <= 2 sqrt(n+c).  A token past
             # int()'s digit limit falls through to the loop, which names it
             try:
-                plain = tuple(map(int, tokens))
+                value = {token: int(token) for token in set(tokens)}
             except ValueError:
                 pass
             else:
-                return cls(plain)
+                return cls(tuple(map(value.__getitem__, tokens)))
         runs: list[tuple[int, int]] = []
         for raw in tokens:
             token = raw.strip()
@@ -135,7 +138,9 @@ class DegreeSequence:
 
     def to_text(self) -> str:
         """Serialize in plain comma form."""
-        return ",".join(map(str, self.degrees))
+        # each distinct degree formatted once (see ``parse``)
+        text = {d: str(d) for d in set(self.degrees)}
+        return ",".join(map(text.__getitem__, self.degrees))
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.degrees)

@@ -14,6 +14,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from zagrebmax import (
     CapExceededError,
+    ConstructionError,
     DegreeSequence,
     DomainError,
     ParseError,
@@ -23,8 +24,14 @@ from zagrebmax import (
     majorization_compare,
     MajorizationOrder,
 )
+from zagrebmax.bicyclic import _glued_cycle_edges
+from zagrebmax.constructor import ConstructionTrace
 from zagrebmax.oracle import _distinct_assignments
-from zagrebmax.sequences import _as_int
+from zagrebmax.sequences import (
+    _as_int,
+    check_optimality_conditions,
+    is_connected_realizable,
+)
 
 SEVEN_VERTEX_GREEDY = SimpleGraph(
     7, [(1, 2), (1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (2, 5), (3, 6), (4, 7)]
@@ -216,7 +223,7 @@ def _refine_unpruned(g: SimpleGraph, colors: list[int]) -> list[int]:
     ncolors = len(set(colors[1:]))
     while True:
         sigs = [
-            (colors[v], tuple(sorted([colors[u] for u in g._adj[v]])))
+            (colors[v], tuple(sorted([colors[u] for u in g._adjacency()[v]])))
             for v in range(1, g.n + 1)
         ]
         remap = {sig: i for i, sig in enumerate(sorted(set(sigs)))}
@@ -543,8 +550,10 @@ def iso_reduced_unpruned(seq, connected_only=True):
 # --- element-by-element conversions, kept as the reference for the bulk ones --
 #
 # DegreeSequence.parse, DegreeSequence.__post_init__ and SimpleGraph.__init__
-# as they were before they converted whole lists at once; the only change is
-# the class names.  The reference parser still takes any Unicode decimal digit.
+# as they were before they converted whole lists at once; the only changes
+# are the class names and two accessors that read the reference graph under
+# SimpleGraph's names.  The reference parser still takes any Unicode decimal
+# digit.
 
 
 @dataclass(frozen=True)
@@ -622,6 +631,82 @@ class SimpleGraphReference:
             adj[v].append(u)
         # filled from the sorted edge tuple, so each list is already ascending
         self._adj = tuple(tuple(nbrs) for nbrs in adj)
+
+    def _adjacency(self):
+        return self._adj
+
+    def degrees(self):
+        return list(map(len, self._adj))
+
+
+# --- per-edge and per-path builders, kept as the reference for the run-based
+# ones: construct_extremal and build_glued_cycles_with_paths as they were
+
+
+def construct_extremal_reference(seq: DegreeSequence) -> ConstructionTrace:
+    if not is_connected_realizable(seq):
+        raise DomainError(f"({seq.to_text()}) has no connected realization")
+    report = check_optimality_conditions(seq)
+    c = report.excess
+    if not report.holds_ii:
+        raise DomainError(
+            f"condition (ii) fails: d2 = {seq.degrees[1]} < c+2 = {c + 2}"
+        )
+    if not report.holds_iv:
+        raise DomainError(f"condition (iv) fails: smallest degree is {seq.degrees[-1]}, not 1")
+    warnings: tuple[str, ...] = ()
+    if not report.holds_iii:
+        warnings = ("condition (iii) violated; optimality not guaranteed",)
+    d = seq.degrees
+    n = seq.n
+    if c >= 0 and d[c + 2] == 1:
+        raise ConstructionError(
+            "degree budget exceeds the vertex supply; aborting instead of "
+            "emitting a disconnected graph"
+        )
+    deg = [0] * (n + 1)
+    edges: list[tuple[int, int]] = []
+
+    def add_edge(u: int, v: int):
+        edges.append((u, v))
+        deg[u] += 1
+        deg[v] += 1
+
+    triangles = tuple((1, 2, j) for j in range(3, c + 4))
+    for j in range(3, c + 4):
+        add_edge(2, j)
+    layer = [0] * (n + 1)
+    next_child = 2
+    for i in range(1, n + 1):
+        for _ in range(d[i - 1] - deg[i]):
+            add_edge(i, next_child)
+            layer[next_child] = layer[i] + 1
+            next_child += 1
+
+    return ConstructionTrace(
+        graph=SimpleGraph(n, edges),
+        ordering=tuple(range(1, n + 1)),
+        layers=tuple(layer[1:]),
+        triangles=triangles,
+        warnings=warnings,
+    )
+
+
+def build_glued_cycles_with_paths_reference(p, q, lengths) -> SimpleGraph:
+    p, q = _as_int(p, "cycle length"), _as_int(q, "cycle length")
+    lengths = [_as_int(x, "path length") for x in lengths]
+    if not lengths:
+        raise DomainError("need at least one pendant path")
+    if any(x < 1 for x in lengths):
+        raise DomainError(f"path lengths must be >= 1, got {lengths}")
+    edges = _glued_cycle_edges(p, q)
+    nxt = p + q
+    n = nxt - 1 + sum(lengths)
+    for length in lengths:
+        path = [1] + list(range(nxt, nxt + length))
+        nxt += length
+        edges += list(zip(path, path[1:]))
+    return SimpleGraph(n, edges)
 
 
 def outcome(make):

@@ -1,6 +1,7 @@
 """Tests for the bicyclic family builders and the closed-form maxima."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from zagrebmax import (
     DegreeSequence,
@@ -16,6 +17,7 @@ from zagrebmax import (
     second_zagreb,
 )
 from zagrebmax.sequences import connected_realizable_sequences
+from helpers import build_glued_cycles_with_paths_reference, outcome
 
 
 # --- builders ---------------------------------------------------------------
@@ -86,6 +88,20 @@ def test_glued_cycles_with_paths_profile():
 def test_builder_rejections(build, args):
     with pytest.raises(DomainError):
         build(*args)
+
+
+@settings(max_examples=300)
+@given(
+    st.integers(2, 6),
+    st.integers(2, 6),
+    st.lists(st.one_of(st.integers(0, 7), st.integers(1, 3)), max_size=8),
+)
+def test_pendant_path_builder_matches_per_path_reference(p, q, lengths):
+    # the same graph, or the same error, as the builder that made a list
+    # per path
+    assert outcome(lambda: build_glued_cycles_with_paths(p, q, lengths)) == outcome(
+        lambda: build_glued_cycles_with_paths_reference(p, q, lengths)
+    )
 
 
 def test_pendant_path_lengths_do_not_matter_beyond_two():

@@ -1,5 +1,7 @@
 """Tests for the layered construction and breadth-first ordering checks."""
 
+import random
+
 import pytest
 
 from zagrebmax import (
@@ -18,8 +20,13 @@ from zagrebmax import (
 from zagrebmax.sequences import (
     check_optimality_conditions,
     connected_realizable_sequences,
+    is_connected_realizable,
 )
-from helpers import THIRTEEN_VERTEX_ALTERNATE, THIRTEEN_VERTEX_LAYERED
+from helpers import (
+    THIRTEEN_VERTEX_ALTERNATE,
+    THIRTEEN_VERTEX_LAYERED,
+    construct_extremal_reference,
+)
 
 
 def test_star_sequence():
@@ -147,6 +154,7 @@ def test_construction_contract_over_small_sweep():
                     budget += 1
                     continue
                 trace = construct_extremal(seq)
+                assert trace == construct_extremal_reference(seq), seq.to_text()
                 built += 1
                 g = trace.graph
                 assert degree_sequence_of(g).degrees == seq.degrees
@@ -160,6 +168,34 @@ def test_construction_contract_over_small_sweep():
                     assert g.has_edge(a, b) and g.has_edge(b, d) and g.has_edge(a, d)
                 assert bool(trace.warnings) == (not rep.holds_iii)
     assert (built, budget) == (797, 130)
+
+
+def _random_admissible(rng, n, c):
+    """A seeded draw of an admissible sequence of order n and excess c
+    whose construction is built: one leaf at least, d2 >= c + 2 and, for
+    c >= 0, degree >= 2 on the apex vertices v3..v_{c+3}."""
+    while True:
+        deg = [1] * n
+        floor = [c + 1, c + 1] + [1] * max(0, c + 1)
+        for i, f in enumerate(floor):
+            deg[i] += f
+        for _ in range(2 * (n + c) - sum(deg)):
+            deg[rng.randrange(n)] += 1
+        seq = DegreeSequence(deg)
+        if seq.degrees[0] < n and check_optimality_conditions(seq).holds_iv:
+            if is_connected_realizable(seq):
+                return seq
+
+
+def test_construction_matches_per_edge_reference_at_size():
+    # trees, c = 0, 2, 3 and bicyclic case 5 (c = 1, d2 >= 3) at n = 100-2000
+    rng = random.Random(25)
+    for n in (100, 317, 1000, 2000):
+        for c in (-1, 0, 1, 2, 3):
+            seq = _random_admissible(rng, n, c)
+            while c == 1 and seq.degrees[1] < 3:
+                seq = _random_admissible(rng, n, c)
+            assert construct_extremal(seq) == construct_extremal_reference(seq)
 
 
 def test_excess_three_generalizes():

@@ -5,7 +5,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from zagrebmax import (
     CapExceededError,
@@ -134,17 +134,26 @@ def _edge_lists(draw):
 
 
 def _graph_fields(g):
-    return g.n, g.edges, g._adj
+    return g.n, g.edges, g.degrees(), g._adjacency()
 
 
 @settings(max_examples=600)
 @given(_edge_lists())
+# the first fault in input order is the one named, whichever kinds follow
+@example((3, [(1, 2), (2, 1), (1, 4)]))  # repeat, then out of range
+@example((3, [(1, 2), (1, 2), (1.0, 3)]))  # repeat, then a float label
+@example((3, [(2, 3), (3, 2), (True, 2)]))  # a bool label after a repeat
+@example((3, [(True, 2), (1, 2)]))  # a bool label repeats an int one
+@example((4, [(1, 4), (3, 2), (4, 1)]))  # a reversed repeat
 def test_constructor_matches_element_by_element_reference(case):
-    # the same edges and adjacency, or the same exception naming the first
-    # offending edge in input order
+    # the same edges, degrees and adjacency, or the same exception naming
+    # the first offending edge in input order; a one-shot iterator is read
+    # once
     n, edges = case
-    got = outcome(lambda: _graph_fields(SimpleGraph(n, edges)))
-    assert got == outcome(lambda: _graph_fields(SimpleGraphReference(n, edges)))
+    for feed in (list, iter):
+        got = outcome(lambda: _graph_fields(SimpleGraph(n, feed(edges))))
+        want = outcome(lambda: _graph_fields(SimpleGraphReference(n, feed(edges))))
+        assert got == want
 
 
 def test_queries_reject_labels_outside_the_graph():

@@ -50,6 +50,24 @@ def test_serialize_plain_comma_form():
     assert DegreeSequence.parse("4^5,1^8").to_text() == "4,4,4,4,4,1,1,1,1,1,1,1,1"
 
 
+@settings(max_examples=300)
+@given(
+    st.one_of(
+        st.lists(st.integers(1, 12), min_size=13, max_size=40),
+        st.tuples(st.integers(0, 2**32), st.integers(12, 3000)).map(
+            lambda t: random.Random(t[0]).choices([1, 2, 3, 10, 11], k=t[1])
+        ),
+    )
+)
+def test_serialize_matches_per_degree_formatting(degrees):
+    # each run of equal degrees is formatted once; the text is the same as
+    # formatting every degree
+    if sum(degrees) % 2:
+        degrees.append(1)
+    expected = ",".join(map(str, sorted(degrees, reverse=True)))
+    assert DegreeSequence(degrees).to_text() == expected
+
+
 @pytest.mark.parametrize("text", ["x,y", "4^", "", "4^^2", "3,", "1 2"])
 def test_parse_failures(text):
     with pytest.raises(ParseError):
@@ -104,11 +122,30 @@ def _degree_texts(draw):
     return ",".join(a + t + b for a, t, b in tokens)
 
 
-# plain digit runs only, the whole-list fast path, now and then with a token
-# past the digit limit that sends it back to the token loop
-_PLAIN_TEXTS = st.lists(
-    st.one_of(st.integers(0, 12).map(str), st.just("9" * 5000)), min_size=1, max_size=12
-).map(",".join)
+# plain digit runs only, the fast path that converts each distinct token
+# once: short lists, now and then with a token past the digit limit that
+# sends them back to the token loop, and long lists over a few values; both
+# with spellings that have leading zeros, so two tokens can name one degree
+_PLAIN_TOKEN = st.one_of(
+    st.integers(0, 12).map(str), st.sampled_from(["01", "007", "00", "02", "0012"])
+)
+
+
+@st.composite
+def _long_plain_texts(draw):
+    values = draw(st.lists(_PLAIN_TOKEN, min_size=1, max_size=5))
+    # a seeded draw: hypothesis draws list items one by one, which at this
+    # length costs more than the parse
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    return ",".join(rng.choices(values, k=draw(st.integers(1, 3000))))
+
+
+_PLAIN_TEXTS = st.one_of(
+    st.lists(st.one_of(_PLAIN_TOKEN, st.just("9" * 5000)), min_size=1, max_size=12).map(
+        ",".join
+    ),
+    _long_plain_texts(),
+)
 
 
 def _parse_reference(text):
