@@ -17,7 +17,7 @@ from functools import cached_property
 from itertools import accumulate, chain
 from typing import Iterable, Iterator, Sequence, Union
 
-from .errors import DomainError, ParseError
+from .errors import CapExceededError, DomainError, ParseError
 
 KIND_TREE = "tree"
 KIND_UNICYCLIC = "unicyclic"
@@ -96,24 +96,19 @@ class DegreeSequence:
         """Parse ``"4,4,3,1"`` or run-length shorthand ``"4^2,3,1"``.
 
         A token is a run of ASCII digits, optionally followed by ``^`` and a
-        repeat count, with whitespace allowed around it.  The runs are
-        checked as a whole before the degree list is built, so an invalid
-        sequence is refused without allocating its repeats."""
+        repeat count, with whitespace allowed around it.  Each distinct
+        token is read once, in order of first appearance, so the first bad
+        token of the text is the one named.  Runs are checked as a whole
+        before the degree list is built, so an invalid sequence is refused
+        without allocating its repeats; a valid one whose list cannot be
+        allocated raises ``CapExceededError``."""
         tokens = text.split(",")
-        if text.isascii() and all(map(str.isdigit, tokens)):
-            # plain digits only: convert each distinct token once, then map
-            # the list through them.  A connected sequence with excess c has
-            # k distinct degrees with k(k+1)/2 <= 2(n+c), the least sum of k
-            # distinct positive values, so k <= 2 sqrt(n+c).  A token past
-            # int()'s digit limit falls through to the loop, which names it
-            try:
-                value = {token: int(token) for token in set(tokens)}
-            except ValueError:
-                pass
-            else:
-                return cls(tuple(map(value.__getitem__, tokens)))
-        runs: list[tuple[int, int]] = []
-        for raw in tokens:
+        # a connected sequence with excess c has k distinct degrees with
+        # k(k+1)/2 <= 2(n+c), the least sum of k distinct positive values,
+        # so k <= 2 sqrt(n+c): a long list is a pass in C over few tokens
+        degree_of: dict[str, int] = {}
+        count_of: dict[str, int] = {}
+        for raw in dict.fromkeys(tokens):
             token = raw.strip()
             value, caret, repeat = token.partition("^")
             if not _is_digits(value) or (caret and not _is_digits(repeat)):
@@ -129,12 +124,21 @@ class DegreeSequence:
                 raise ParseError(f"degree token {token!r} is too large")
             if count < 1:
                 raise ParseError(f"bad repeat count in {token!r}")
-            runs.append((degree, count))
-        degrees, counts = zip(*runs)
-        _check_degrees(
-            sum(counts), min(degrees), max(degrees), sum(map(operator.mul, degrees, counts))
-        )
-        return cls(tuple(chain.from_iterable([d] * c for d, c in runs)))
+            degree_of[raw] = degree
+            count_of[raw] = count
+        degrees = tuple(map(degree_of.__getitem__, tokens))
+        if "^" not in text:
+            return cls(degrees)
+        counts = tuple(map(count_of.__getitem__, tokens))
+        n = sum(counts)
+        _check_degrees(n, min(degrees), max(degrees), sum(map(operator.mul, degrees, counts)))
+        try:
+            expanded = tuple(chain.from_iterable([d] * c for d, c in zip(degrees, counts)))
+        except MemoryError:
+            raise CapExceededError(
+                f"n = {n}: the degree list does not fit in memory"
+            ) from None
+        return cls(expanded)
 
     def to_text(self) -> str:
         """Serialize in plain comma form."""
@@ -358,7 +362,11 @@ def majorization_chain(a: DegreeSequence, b: DegreeSequence) -> tuple[DegreeSequ
 
 def _bounded_partitions(total: int, parts: int, max_part: int) -> Iterator[tuple[int, ...]]:
     """Non-increasing tuples of ``parts`` entries in [1, max_part] summing to
-    total, in ascending lexicographic order."""
+    total, in ascending lexicographic order.
+
+    Recurses once per entry and raises ``CapExceededError`` past Python's
+    recursion limit: no enumeration that deep ends, so an iterative walk
+    would only put off the refusal."""
 
     def rec(remaining: int, slots: int, cap: int, acc: list[int]):
         if slots == 0:
@@ -374,12 +382,19 @@ def _bounded_partitions(total: int, parts: int, max_part: int) -> Iterator[tuple
 
     if parts < 1 or total < parts or total > parts * max_part:
         return
-    yield from rec(total, parts, max_part, [])
+    try:
+        yield from rec(total, parts, max_part, [])
+    except RecursionError:
+        raise CapExceededError(
+            f"n = {parts}: the sequence enumeration recurses once per degree, "
+            "past Python's recursion limit"
+        ) from None
 
 
 def connected_realizable_sequences(n: int, excess: int) -> list[DegreeSequence]:
     """All connected-realizable sequences of order n with the given excess,
-    ascending lexicographic order."""
+    ascending lexicographic order.  An n past Python's recursion limit
+    raises ``CapExceededError``."""
     n, excess = _as_int(n, "vertex count"), _as_int(excess, "excess")
     if n < 1 or excess < -1:
         return []

@@ -340,6 +340,30 @@ def test_oracle_deterministic_bytes():
     assert a.stdout == b.stdout
 
 
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (
+            ("validate", "2^1152921504606846976"),
+            "n = 1152921504606846976: the degree list does not fit in memory",
+        ),
+        (
+            ("sweep", "--n", "1500", "--excess", "-1", "--cap", "1500"),
+            "n = 1500: the sequence enumeration recurses once per degree, "
+            "past Python's recursion limit",
+        ),
+    ],
+    ids=["list-past-memory", "sweep-past-recursion-limit"],
+)
+def test_valid_input_too_large_to_hold_or_enumerate_exits_3_with_one_json_line(
+    argv, error, capsys
+):
+    code, out, err = _main_in_process(argv, capsys)
+    assert (code, out) == (3, "")
+    assert err.count("\n") == 1
+    assert json.loads(err) == {"error": error}
+
+
 def test_oracle_cap_env_var():
     proc = run_cli("oracle", "4,2,2,2,2", env_extra={"ZAGREBMAX_ORACLE_CAP": "4"})
     assert proc.returncode == 3

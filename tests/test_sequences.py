@@ -6,9 +6,10 @@ from itertools import accumulate, combinations_with_replacement
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from zagrebmax import (
+    CapExceededError,
     DegreeSequence,
     DomainError,
     MajorizationOrder,
@@ -102,7 +103,7 @@ def test_parse_token_grammar(text, expected):
 
 
 # tokens of every kind the grammar accepts or rejects: digit runs (most, so
-# the whole-list fast path is taken often), runs with a repeat count, signs,
+# many texts are plain lists), runs with a repeat count, signs,
 # underscores, empty tokens, padding, digits that are not ASCII, and tokens
 # past int()'s digit limit or a count past sys.maxsize
 _TOKEN = st.one_of(
@@ -122,10 +123,17 @@ def _degree_texts(draw):
     return ",".join(a + t + b for a, t, b in tokens)
 
 
-# plain digit runs only, the fast path that converts each distinct token
-# once: short lists, now and then with a token past the digit limit that
-# sends them back to the token loop, and long lists over a few values; both
-# with spellings that have leading zeros, so two tokens can name one degree
+@st.composite
+def _recurring_token_texts(draw):
+    # each distinct token is read once: texts over a pool of one to three
+    # tokens, so good and bad tokens, padded spellings and runs recur
+    pool = draw(st.lists(st.tuples(_PAD, _TOKEN, _PAD).map("".join), min_size=1, max_size=3))
+    return ",".join(draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8)))
+
+
+# plain digit runs only: short lists, now and then with a token past the
+# digit limit, and long lists over a few values; both with spellings that
+# have leading zeros, so two tokens can name one degree
 _PLAIN_TOKEN = st.one_of(
     st.integers(0, 12).map(str), st.sampled_from(["01", "007", "00", "02", "0012"])
 )
@@ -167,7 +175,14 @@ def _as_pair(seq):
 
 
 @settings(max_examples=600)
-@given(st.one_of(_degree_texts(), _PLAIN_TEXTS))
+@given(st.one_of(_degree_texts(), _recurring_token_texts(), _PLAIN_TEXTS))
+@example("2,1,2,1")  # a good token that recurs
+@example("2,x,1,x")  # a bad token that recurs after a good one
+@example("2, 2 ,1,1,2")  # padded and unpadded forms of one value
+@example("2^2,1,2^2,1")  # a run that recurs
+# the dense half graph: 1,999 distinct tokens at n = 2,000
+@example(",".join(map(str, [*range(1999, 999, -1), *range(1000, 0, -1)])))
+@example(",".join([" 4 "] * 3334 + ["\t1\t"] * 6666))  # 10^4 padded tokens
 def test_parse_matches_element_by_element_reference(text):
     assert outcome(lambda: _as_pair(DegreeSequence.parse(text))) == _parse_reference(text)
 
@@ -246,6 +261,30 @@ def test_resorted_is_set_only_by_the_class_and_only_for_unsorted_input(
 def test_invalid_sequences_rejected(degrees):
     with pytest.raises(DomainError):
         DegreeSequence(degrees)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        # 2^60 twos pass the run check; on 64-bit CPython the list fails its
+        # size check before any allocation
+        (
+            lambda: DegreeSequence.parse("2^1152921504606846976"),
+            "n = 1152921504606846976: the degree list does not fit in memory",
+        ),
+        # the enumeration recurses once per degree
+        (
+            lambda: connected_realizable_sequences(1500, -1),
+            "n = 1500: the sequence enumeration recurses once per degree, "
+            "past Python's recursion limit",
+        ),
+    ],
+    ids=["list-past-memory", "enumeration-past-recursion-limit"],
+)
+def test_valid_input_too_large_to_hold_or_enumerate_is_a_cap_error(call, message):
+    with pytest.raises(CapExceededError) as info:
+        call()
+    assert str(info.value) == message
 
 
 # --- graphicness -----------------------------------------------------------
