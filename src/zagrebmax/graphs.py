@@ -18,10 +18,13 @@ from .sequences import DegreeSequence, _as_int, _is_digits
 class SimpleGraph:
     """Undirected simple graph with integer vertex labels 1..n.
 
-    The value is its vertex count and sorted edge tuple.  Degrees are
-    counted at construction; the adjacency lists are built on first use
-    (``_adjacency``), a cache behind the immutable value, so a graph that
-    is only asked for degrees and edges never builds them."""
+    The value is its vertex count and sorted edge tuple.  The edges are
+    read once, and their first fault in input order is the one raised; a
+    vertex count whose degree counts cannot be allocated is refused with
+    ``CapExceededError``.  Degrees are counted at construction; the
+    adjacency lists are built on first use (``_adjacency``), a cache
+    behind the immutable value, so a graph that is only asked for degrees
+    and edges never builds them."""
 
     __slots__ = ("n", "edges", "_deg", "_adj")
 
@@ -30,12 +33,17 @@ class SimpleGraph:
             n = _as_int(n, "vertex count")
         if n < 1:
             raise DomainError("graph needs at least one vertex")
-        edges = list(edges)  # read a one-shot iterator once
-        deg = [0] * (n + 1)
+        try:
+            deg = [0] * (n + 1)
+        except MemoryError:
+            raise CapExceededError(
+                f"n = {n}: the graph's degree counts do not fit in memory"
+            ) from None
         # the edges in input order; builders emit them sorted or in a few
         # sorted runs, which timsort merges in about linear time
         normalised: list[tuple[int, int]] = []
         append = normalised.append
+        fault = None
         try:
             for u, v in edges:
                 if type(u) is not int or type(v) is not int:
@@ -44,16 +52,22 @@ class SimpleGraph:
                     append((u, v))
                 elif 1 <= v < u <= n:
                     append((v, u))
+                elif u == v and 1 <= u <= n:
+                    raise DomainError(f"loop at vertex {u}")
                 else:
-                    break
+                    raise DomainError(f"edge ({u},{v}) out of range 1..{n}")
                 deg[u] += 1
                 deg[v] += 1
-        except (DomainError, TypeError, ValueError):
-            # a label or a pair that is not one: raised again below, unless
-            # a repeat comes first
-            pass
-        if len(normalised) < len(edges) or len(set(normalised)) < len(edges):
-            _check_edges(n, edges)
+        except (DomainError, TypeError, ValueError) as exc:
+            # raised below, unless a repeat among the edges before it comes first
+            fault = exc
+        if fault is not None or len(set(normalised)) < len(normalised):
+            seen: set[tuple[int, int]] = set()
+            for e in normalised:
+                if e in seen:
+                    raise DomainError(f"duplicate edge ({e[0]},{e[1]})")
+                seen.add(e)
+            raise fault
         normalised.sort()
         self.n = n
         self.edges: tuple[tuple[int, int], ...] = tuple(normalised)
@@ -129,23 +143,6 @@ class SimpleGraph:
 
     def __repr__(self) -> str:
         return f"SimpleGraph(n={self.n}, m={self.m})"
-
-
-def _check_edges(n: int, edges: list) -> None:
-    """Raise the first fault of ``edges`` in input order: a label that is
-    not an integer, a pair out of range, a loop or a repeat."""
-    seen: set[tuple[int, int]] = set()
-    for u, v in edges:
-        if type(u) is not int or type(v) is not int:
-            u, v = _as_int(u, "vertex"), _as_int(v, "vertex")
-        if not (1 <= u <= n and 1 <= v <= n):
-            raise DomainError(f"edge ({u},{v}) out of range 1..{n}")
-        if u == v:
-            raise DomainError(f"loop at vertex {u}")
-        e = (u, v) if u < v else (v, u)
-        if e in seen:
-            raise DomainError(f"duplicate edge ({e[0]},{e[1]})")
-        seen.add(e)
 
 
 def second_zagreb(g: SimpleGraph) -> int:

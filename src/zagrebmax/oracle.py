@@ -271,6 +271,12 @@ def _distinct_assignments(degrees: tuple[int, ...]) -> Iterator[tuple[int, ...]]
         a[i + 1 :] = reversed(a[i + 1 :])
 
 
+def _check_cap(seq: DegreeSequence, cap: int) -> None:
+    cap = _as_int(cap, "enumeration cap")
+    if seq.n > cap:
+        raise CapExceededError(f"n = {seq.n} exceeds the enumeration cap {cap}")
+
+
 def enumerate_realizations(
     seq: DegreeSequence,
     connected_only: bool = True,
@@ -288,9 +294,7 @@ def enumerate_realizations(
     yields is canonicalized; the later assignments would yield only
     repeats.  More than ``cap`` vertices raise ``CapExceededError``; only
     the CLI reads ``ZAGREBMAX_ORACLE_CAP``."""
-    cap = _as_int(cap, "enumeration cap")
-    if seq.n > cap:
-        raise CapExceededError(f"n = {seq.n} exceeds the enumeration cap {cap}")
+    _check_cap(seq, cap)
     if not is_graphic(seq):
         raise DomainError(f"({seq.to_text()}) is not graphic")
     seen: set = set()
@@ -319,9 +323,7 @@ def search_max_m2(seq: DegreeSequence, cap: int = DEFAULT_CAP) -> OracleResult:
     results; the CLI times the call.  More than ``cap`` vertices raise
     ``CapExceededError``; only the CLI reads ``ZAGREBMAX_ORACLE_CAP``.
     """
-    cap = _as_int(cap, "enumeration cap")
-    if seq.n > cap:
-        raise CapExceededError(f"n = {seq.n} exceeds the enumeration cap {cap}")
+    _check_cap(seq, cap)
     if not is_connected_realizable(seq):
         raise DomainError(
             f"({seq.to_text()}) has no connected realization; search space is empty"

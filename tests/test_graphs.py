@@ -145,6 +145,9 @@ def _graph_fields(g):
 @example((3, [(2, 3), (3, 2), (True, 2)]))  # a bool label after a repeat
 @example((3, [(True, 2), (1, 2)]))  # a bool label repeats an int one
 @example((4, [(1, 4), (3, 2), (4, 1)]))  # a reversed repeat
+@example((3, [(1, 2), (2, 1), (1, 2, 3)]))  # a non-pair after a repeat
+@example((3, [(1, 3), (3, 1), 5]))  # a non-iterable item after a repeat
+@example((3, [(1, 2), (1, 2, 3), (1, 2)]))  # a non-pair before the repeat
 def test_constructor_matches_element_by_element_reference(case):
     # the same edges, degrees and adjacency, or the same exception naming
     # the first offending edge in input order; a one-shot iterator is read
@@ -154,6 +157,21 @@ def test_constructor_matches_element_by_element_reference(case):
         got = outcome(lambda: _graph_fields(SimpleGraph(n, feed(edges))))
         want = outcome(lambda: _graph_fields(SimpleGraphReference(n, feed(edges))))
         assert got == want
+
+
+@pytest.mark.parametrize(
+    "call",
+    [lambda: SimpleGraph(2**60, []), lambda: parse_edge_list("1152921504606846976 0\n")],
+    ids=["constructor", "edge-list"],
+)
+def test_vertex_count_whose_degree_counts_cannot_be_held_is_a_cap_error(call):
+    # on 64-bit CPython a list of 2^60 + 1 counts fails its size check
+    # before any allocation
+    with pytest.raises(CapExceededError) as info:
+        call()
+    assert str(info.value) == (
+        "n = 1152921504606846976: the graph's degree counts do not fit in memory"
+    )
 
 
 def test_queries_reject_labels_outside_the_graph():
