@@ -147,12 +147,12 @@ class SimpleGraph:
 
 def second_zagreb(g: SimpleGraph) -> int:
     """Sum over all edges of the product of the endpoint degrees."""
-    deg = g.degrees()
+    deg = g._deg
     return sum(deg[u] * deg[v] for u, v in g.edges)
 
 
 def degree_sequence_of(g: SimpleGraph) -> DegreeSequence:
-    deg = g.degrees()[1:]
+    deg = g._deg[1:]
     if min(deg) == 0:
         isolated = deg.index(0) + 1
         raise DomainError(f"vertex {isolated} is isolated; degree sequences need d >= 1")

@@ -384,37 +384,37 @@ def apply_neighbor_transfer(g: SimpleGraph, move: NeighborTransfer) -> SimpleGra
     )
 
 
+def _gaining_swaps(g: SimpleGraph, deg: list[int]) -> Iterator[EdgeSwap]:
+    """Each swap of two edges of g with four distinct endpoints, a positive
+    gain (d(v1)-d(u2)) * (d(v2)-d(u1)) and both new edges absent, in
+    canonical order: sorted edge pairs, then the two pairings."""
+    for (a, b), (c, e) in combinations(g.edges, 2):
+        if a in (c, e) or b in (c, e):
+            continue
+        for v1, u1, v2, u2 in ((a, b, c, e), (a, b, e, c)):
+            gain = (deg[v1] - deg[u2]) * (deg[v2] - deg[u1])
+            if gain > 0 and not g.has_edge(v1, v2) and not g.has_edge(u1, u2):
+                yield EdgeSwap(v1, u1, v2, u2)
+
+
 def hill_climb(g: SimpleGraph) -> tuple[SimpleGraph, list[EdgeSwap]]:
     """First-improvement hill climb over edge swaps.
 
-    Scans candidate swaps in canonical order (sorted edge pairs, then the
-    two pairings), accepting the first one that strictly increases the
-    index and keeps the graph connected.  Swaps that would disconnect the
-    graph are rejected even when the index would rise.
+    Accepts the first swap from ``_gaining_swaps`` whose result is
+    connected, skipping those that would disconnect the graph even when the
+    index would rise, then restarts the scan on the new graph after each
+    accepted move.  The generator alone fixes the order.
     """
     if not is_connected(g):
         raise DomainError("hill climb requires a connected graph")
     applied: list[EdgeSwap] = []
     deg = g.degrees()
-    improved = True
-    while improved:
-        improved = False
-        for (a, b), (c, e) in combinations(g.edges, 2):
-            if a in (c, e) or b in (c, e):
-                continue
-            for v1, u1, v2, u2 in ((a, b, c, e), (a, b, e, c)):
-                if (deg[v1] - deg[u2]) * (deg[v2] - deg[u1]) <= 0:
-                    continue
-                if g.has_edge(v1, v2) or g.has_edge(u1, u2):
-                    continue
-                move = EdgeSwap(v1, u1, v2, u2)
-                candidate = apply_edge_swap(g, move)
-                if not is_connected(candidate):
-                    continue
+    while True:
+        for move in _gaining_swaps(g, deg):
+            candidate = apply_edge_swap(g, move)
+            if is_connected(candidate):
                 g = candidate
                 applied.append(move)
-                improved = True
                 break
-            if improved:
-                break
-    return g, applied
+        else:
+            return g, applied

@@ -56,7 +56,9 @@ class DegreeSequence:
     """Validated non-increasing sequence of positive vertex degrees.
 
     Unsorted input is sorted; ``resorted`` records that it was.  Only the
-    class sets the flag: it is not a constructor parameter."""
+    class sets the flag: it is not a constructor parameter.  ``total``, the
+    degree sum, is computed once here; it is not a field, so it takes no
+    part in ``==``, ``hash`` or ``repr``."""
 
     degrees: tuple[int, ...]
     resorted: bool = field(default=False, compare=False, init=False)
@@ -76,15 +78,12 @@ class DegreeSequence:
             object.__setattr__(self, "resorted", True)
         else:
             object.__setattr__(self, "degrees", degs)
-        _check_degrees(len(canonical), canonical[-1], canonical[0], sum(canonical))
+        object.__setattr__(self, "total", sum(canonical))
+        _check_degrees(len(canonical), canonical[-1], canonical[0], self.total)
 
     @property
     def n(self) -> int:
         return len(self.degrees)
-
-    @property
-    def total(self) -> int:
-        return sum(self.degrees)
 
     @cached_property
     def _graphic(self) -> bool:
@@ -282,7 +281,7 @@ def check_optimality_conditions(seq: DegreeSequence) -> OptimalityConditions:
     """
     d = seq.degrees
     n = seq.n
-    excess = sum(d) // 2 - n
+    excess = seq.total // 2 - n
     holds_i = excess >= -1
     holds_ii = d[1] >= excess + 2
     if excess <= 0:

@@ -17,9 +17,12 @@ from zagrebmax import (
     ConstructionError,
     DegreeSequence,
     DomainError,
+    EdgeSwap,
     ParseError,
     SimpleGraph,
+    apply_edge_swap,
     canonical_form,
+    is_connected,
     is_graphic,
     majorization_compare,
     MajorizationOrder,
@@ -706,6 +709,51 @@ def build_glued_cycles_with_paths_reference(p, q, lengths) -> SimpleGraph:
         path = [1] + list(range(nxt, nxt + length))
         nxt += length
         edges += list(zip(path, path[1:]))
+    return SimpleGraph(n, edges)
+
+
+# --- hill_climb as one triple loop, kept as the reference for its move log
+
+
+def hill_climb_reference(g: SimpleGraph) -> tuple[SimpleGraph, list[EdgeSwap]]:
+    if not is_connected(g):
+        raise DomainError("hill climb requires a connected graph")
+    applied: list[EdgeSwap] = []
+    deg = g.degrees()
+    improved = True
+    while improved:
+        improved = False
+        for (a, b), (c, e) in combinations(g.edges, 2):
+            if a in (c, e) or b in (c, e):
+                continue
+            for v1, u1, v2, u2 in ((a, b, c, e), (a, b, e, c)):
+                if (deg[v1] - deg[u2]) * (deg[v2] - deg[u1]) <= 0:
+                    continue
+                if g.has_edge(v1, v2) or g.has_edge(u1, u2):
+                    continue
+                move = EdgeSwap(v1, u1, v2, u2)
+                candidate = apply_edge_swap(g, move)
+                if not is_connected(candidate):
+                    continue
+                g = candidate
+                applied.append(move)
+                improved = True
+                break
+            if improved:
+                break
+    return g, applied
+
+
+def random_connected_graph(rng, n: int, m: int) -> SimpleGraph:
+    """A random spanning tree on 1..n plus m - n + 1 random further edges."""
+    order = rng.sample(range(1, n + 1), n)
+    edges = set()
+    for i in range(1, n):
+        u, v = order[i], order[rng.randrange(i)]
+        edges.add((min(u, v), max(u, v)))
+    while len(edges) < m:
+        u, v = rng.sample(range(1, n + 1), 2)
+        edges.add((min(u, v), max(u, v)))
     return SimpleGraph(n, edges)
 
 

@@ -16,7 +16,6 @@ from zagrebmax import (
     construct_extremal_bicyclic,
     degree_sequence_of,
     enumerate_realizations,
-    is_connected,
     search_max_m2,
     second_zagreb,
 )
@@ -28,8 +27,6 @@ from zagrebmax.sequences import (
     majorization_compare,
 )
 from helpers import (
-    SEVEN_VERTEX_BETTER,
-    SEVEN_VERTEX_GREEDY,
     THIRTEEN_VERTEX_ALTERNATE,
     THIRTEEN_VERTEX_LAYERED,
     brute_force_buckets,

@@ -4,7 +4,7 @@ transformation moves, and hill climbing."""
 import random
 import re
 import sys
-from itertools import combinations, combinations_with_replacement, islice, permutations
+from itertools import combinations, combinations_with_replacement, permutations
 
 import pytest
 
@@ -33,9 +33,11 @@ from helpers import (
     SEVEN_VERTEX_GREEDY,
     brute_force_buckets,
     brute_force_maxima,
+    hill_climb_reference,
     iso_reduced_over_all_assignments,
     iso_reduced_unpruned,
     iter_edges_by_combinations,
+    random_connected_graph,
     search_unpruned,
     twin_combinations,
     valid_swaps,
@@ -693,6 +695,24 @@ def test_hill_climb_monotone_and_terminal():
         for move, gain in valid_swaps(final):
             if gain > 0:
                 assert not is_connected(apply_edge_swap(final, move))
+
+
+# the final graph (n and edges) and the move log against the one-loop climb
+
+
+def test_hill_climb_move_log_matches_reference():
+    rng = random.Random(28)
+    for _ in range(100):
+        n = rng.randint(4, 30)
+        m = rng.randint(n - 1, min(2 * n, n * (n - 1) // 2))
+        g = random_connected_graph(rng, n, m)
+        assert hill_climb(g) == hill_climb_reference(g), (n, m)
+
+
+@pytest.mark.slow
+def test_hill_climb_move_log_matches_reference_at_n150():
+    g = random_connected_graph(random.Random(150), 150, 225)
+    assert hill_climb(g) == hill_climb_reference(g)
 
 
 def test_hill_climb_finds_improvements():

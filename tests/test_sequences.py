@@ -1,5 +1,8 @@
 """Tests for degree-sequence validation, classification, and majorization."""
 
+import contextlib
+import dataclasses
+import io
 import random
 from collections import defaultdict
 from itertools import accumulate, combinations_with_replacement
@@ -22,6 +25,7 @@ from zagrebmax import (
     majorization_chain,
     majorization_compare,
 )
+from zagrebmax import cli
 from zagrebmax import sequences as sq
 from helpers import (
     DegreeSequenceReference,
@@ -379,6 +383,27 @@ def test_cached_verdict_leaves_equality_and_hash_alone():
     fresh = DegreeSequence.parse("4^5,1^8")
     assert seq == fresh and hash(seq) == hash(fresh)
     assert repr(seq) == repr(fresh)
+    # the kept degree sum is no field either
+    assert seq.total == 28
+    assert [f.name for f in dataclasses.fields(seq)] == ["degrees", "resorted"]
+
+
+@pytest.mark.parametrize("command", ["validate", "construct"])
+def test_a_request_sums_its_degree_list_twice(monkeypatch, command):
+    # once in the constructor, once in Erdos-Gallai; every other reader
+    # takes the constructor's total
+    text = ",".join(["4"] * 666 + ["1"] * 1334)
+    sums = []
+
+    def counting_sum(values, *start):
+        values = list(values)
+        sums.append(len(values))
+        return sum(values, *start)
+
+    monkeypatch.setattr(sq, "sum", counting_sum, raising=False)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main([command, text]) == 0
+    assert sums.count(2000) == 2
 
 
 # --- connected realizability and classification ----------------------------
