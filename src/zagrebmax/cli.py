@@ -7,7 +7,8 @@ or ``None`` once it has written its own output.  ``main`` echoes each parsed
 sequence in canonical form, wraps the result in the JSON report
 ``{command, inputs, result, warnings}`` on stdout (``--pretty`` renders an
 indented view) and maps errors to exit codes: 0 success, 1 domain
-rejection, 2 parse error, 3 resource cap.
+rejection, 2 parse error, 3 resource cap.  ``run``, the process entry
+point, adds 141 for a reader that closed stdout early.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_PARSE = 2
 EXIT_CAP = 3
+EXIT_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a tool SIGPIPE ends
 
 
 # json.dumps builds an encoder per call for any non-default option
@@ -358,5 +360,26 @@ def main(argv: Optional[list[str]] = None) -> int:
     return EXIT_OK
 
 
+def run() -> int:
+    """``main`` on the process's own arguments, for the ``zagrebmax`` script
+    and ``python -m zagrebmax``.
+
+    Standard output is flushed inside the guard, so a reader that closes
+    the pipe early (``| head``) ends the process with ``EXIT_PIPE`` and
+    nothing on stderr, not a ``BrokenPipeError`` traceback."""
+    try:
+        try:
+            return main()
+        finally:
+            # on every way out, argparse's SystemExit after --help included
+            sys.stdout.flush()
+    except BrokenPipeError:
+        # the interpreter flushes stdout again at exit; let that flush reach
+        # /dev/null instead of the closed pipe
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return EXIT_PIPE
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

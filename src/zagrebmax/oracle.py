@@ -387,13 +387,15 @@ def apply_neighbor_transfer(g: SimpleGraph, move: NeighborTransfer) -> SimpleGra
 def _gaining_swaps(g: SimpleGraph, deg: list[int]) -> Iterator[EdgeSwap]:
     """Each swap of two edges of g with four distinct endpoints, a positive
     gain (d(v1)-d(u2)) * (d(v2)-d(u1)) and both new edges absent, in
-    canonical order: sorted edge pairs, then the two pairings."""
+    canonical order: sorted edge pairs, then the two pairings.  The labels
+    come from g's own edges, so absence is read off its adjacency directly."""
+    adj = g._adjacency()
     for (a, b), (c, e) in combinations(g.edges, 2):
         if a in (c, e) or b in (c, e):
             continue
         for v1, u1, v2, u2 in ((a, b, c, e), (a, b, e, c)):
             gain = (deg[v1] - deg[u2]) * (deg[v2] - deg[u1])
-            if gain > 0 and not g.has_edge(v1, v2) and not g.has_edge(u1, u2):
+            if gain > 0 and v2 not in adj[v1] and u2 not in adj[u1]:
                 yield EdgeSwap(v1, u1, v2, u2)
 
 

@@ -13,7 +13,6 @@ import operator
 import sys
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
 from itertools import accumulate, chain
 from typing import Iterable, Iterator, Sequence, Union
 
@@ -57,8 +56,9 @@ class DegreeSequence:
 
     Unsorted input is sorted; ``resorted`` records that it was.  Only the
     class sets the flag: it is not a constructor parameter.  ``total``, the
-    degree sum, is computed once here; it is not a field, so it takes no
-    part in ``==``, ``hash`` or ``repr``."""
+    degree sum, and ``_graphic``, the Erdos-Gallai verdict taken from that
+    sum, are computed once here; they are not fields, so they take no part
+    in ``==``, ``hash`` or ``repr``."""
 
     degrees: tuple[int, ...]
     resorted: bool = field(default=False, compare=False, init=False)
@@ -80,15 +80,11 @@ class DegreeSequence:
             object.__setattr__(self, "degrees", degs)
         object.__setattr__(self, "total", sum(canonical))
         _check_degrees(len(canonical), canonical[-1], canonical[0], self.total)
+        object.__setattr__(self, "_graphic", _erdos_gallai(canonical, self.total))
 
     @property
     def n(self) -> int:
         return len(self.degrees)
-
-    @cached_property
-    def _graphic(self) -> bool:
-        """Erdos-Gallai verdict, computed on first use and kept on the object."""
-        return _erdos_gallai(self.degrees)
 
     @classmethod
     def parse(cls, text: str) -> "DegreeSequence":
@@ -193,9 +189,9 @@ def _as_desc(seq: Degreeish) -> tuple[int, ...]:
     return tuple(sorted((_as_int(d, "degree") for d in seq), reverse=True))
 
 
-def _erdos_gallai(d: Sequence[int]) -> bool:
+def _erdos_gallai(d: Sequence[int], total: int) -> bool:
     """Erdos-Gallai test in O(n) on a non-increasing list of non-negative
-    integers with even sum.
+    integers with even sum ``total``, which the caller has already taken.
 
     For k = 1..n the right side k(k-1) + sum_{j>k} min(k, d_j) is read off
     running sums: with p the number of entries >= k, the entries after
@@ -205,7 +201,6 @@ def _erdos_gallai(d: Sequence[int]) -> bool:
     (right side minus left side), so the inequality at that k decides the
     rest.
     """
-    total = sum(d)
     lhs = 0
     tail = 0
     p = len(d)
@@ -226,17 +221,18 @@ def is_graphic(seq: Degreeish) -> bool:
 
     Total function: accepts any integer multiset (a :class:`DegreeSequence`
     or a raw iterable, zeros allowed).  The Erdos-Gallai test runs in O(n)
-    after an O(n log n) sort of raw input; on a :class:`DegreeSequence` it
-    runs once and the verdict is cached on the object.
+    after an O(n log n) sort of raw input; a :class:`DegreeSequence` took
+    its verdict when it was made.
     """
     if isinstance(seq, DegreeSequence):
         return seq._graphic
     d = _as_desc(seq)
     if not d:
         return True
-    if d[-1] < 0 or sum(d) % 2 != 0:
+    total = sum(d)
+    if d[-1] < 0 or total % 2 != 0:
         return False
-    return _erdos_gallai(d)
+    return _erdos_gallai(d, total)
 
 
 def is_connected_realizable(seq: DegreeSequence) -> bool:

@@ -465,20 +465,69 @@ def test_validate_rejects_digits_that_are_not_ascii():
     assert json.loads(proc.stderr)["error"] == "bad degree token '３'"
 
 
-@pytest.mark.parametrize("command", ["validate", "construct", "bicyclic-max"])
-def test_request_runs_erdos_gallai_once(command, monkeypatch, capsys):
+def _count_erdos_gallai(monkeypatch) -> list[int]:
+    """The length of each list ``sq._erdos_gallai`` runs on from now on."""
     calls = []
     original = sq._erdos_gallai
 
-    def counting(d):
+    def counting(d, total):
         calls.append(len(d))
-        return original(d)
+        return original(d, total)
 
     monkeypatch.setattr(sq, "_erdos_gallai", counting)
+    return calls
+
+
+@pytest.mark.parametrize("command", ["validate", "construct", "bicyclic-max"])
+def test_request_runs_erdos_gallai_once(command, monkeypatch, capsys):
+    calls = _count_erdos_gallai(monkeypatch)
     # 4^5,1^8 is bicyclic case 5, which goes through the layered construction
     assert cli.main([command, "4^5,1^8"]) == 0
     assert json.loads(capsys.readouterr().out)["result"]
     assert calls == [13]
+
+
+def test_m2_and_plain_majorize_run_erdos_gallai_once_per_sequence(
+    tmp_path, monkeypatch, capsys
+):
+    # each sequence takes its verdict when it is made, read or not
+    calls = _count_erdos_gallai(monkeypatch)
+    path = tmp_path / "paw.edges"
+    path.write_text("4 4\n1 2\n1 3\n2 3\n3 4\n")
+    assert cli.main(["m2", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["degree_sequence"] == "3,2,2,1"
+    assert calls == [4]
+    calls.clear()
+    assert cli.main(["majorize", "4^5,1^8", "5,4^3,3,1^8"]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["order"] == "a_below_b"
+    assert calls == [13, 13]
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "argv",
+    [("validate", "4^5,1^8"), ("construct", "4^5,1^8", "--format", "edges")],
+    ids=["report", "edges"],
+)
+def test_closed_stdout_ends_quietly(argv, unbuffered):
+    # the read end is closed before the child starts, so its first write fails
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "zagrebmax", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (cli.EXIT_PIPE, "")
+    assert cli.EXIT_PIPE == 141
 
 
 def test_bicyclic_max_classifies_once(monkeypatch, capsys):

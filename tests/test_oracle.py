@@ -317,9 +317,9 @@ def test_oracle_counterexample_result_and_single_validation(monkeypatch):
     calls = []
     original = sq._erdos_gallai
 
-    def counting(d):
+    def counting(d, total):
         calls.append(len(d))
-        return original(d)
+        return original(d, total)
 
     # patch every zagrebmax module that binds the check, not only its home
     for name, module in list(sys.modules.items()):

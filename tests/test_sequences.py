@@ -374,7 +374,28 @@ def test_linear_check_matches_reference_on_sorted_even_tails(degs):
     d = sorted(degs, reverse=True)
     if sum(d) % 2:
         d[0] += 1
-    assert sq._erdos_gallai(d) == eg_quadratic(d)
+    assert sq._erdos_gallai(d, sum(d)) == eg_quadratic(d)
+
+
+def test_a_sequence_runs_erdos_gallai_once_when_it_is_made(monkeypatch):
+    calls = []
+    original = sq._erdos_gallai
+
+    def counting(d, total):
+        calls.append((len(d), total))
+        return original(d, total)
+
+    monkeypatch.setattr(sq, "_erdos_gallai", counting)
+    seq = DegreeSequence.parse("4^5,1^8")
+    assert calls == [(13, 28)]
+    # every later read takes the verdict the constructor set
+    assert is_graphic(seq) and is_connected_realizable(seq)
+    assert classify(seq).kind == "bicyclic"
+    assert calls == [(13, 28)]
+    # a sequence that is not graphic is still made, with its verdict
+    bad = DegreeSequence((3, 3, 1, 1))
+    assert not is_graphic(bad) and not is_connected_realizable(bad)
+    assert calls == [(13, 28), (4, 8)]
 
 
 def test_cached_verdict_leaves_equality_and_hash_alone():
@@ -389,9 +410,8 @@ def test_cached_verdict_leaves_equality_and_hash_alone():
 
 
 @pytest.mark.parametrize("command", ["validate", "construct"])
-def test_a_request_sums_its_degree_list_twice(monkeypatch, command):
-    # once in the constructor, once in Erdos-Gallai; every other reader
-    # takes the constructor's total
+def test_a_request_sums_its_degree_list_once(monkeypatch, command):
+    # in the constructor; Erdos-Gallai and every other reader take its total
     text = ",".join(["4"] * 666 + ["1"] * 1334)
     sums = []
 
@@ -403,7 +423,7 @@ def test_a_request_sums_its_degree_list_twice(monkeypatch, command):
     monkeypatch.setattr(sq, "sum", counting_sum, raising=False)
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main([command, text]) == 0
-    assert sums.count(2000) == 2
+    assert sums.count(2000) == 1
 
 
 # --- connected realizability and classification ----------------------------
