@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import io
 import json
 import os
 import sys
@@ -367,6 +368,17 @@ def run() -> int:
     Standard output is flushed inside the guard, so a reader that closes
     the pipe early (``| head``) ends the process with ``EXIT_PIPE`` and
     nothing on stderr, not a ``BrokenPipeError`` traceback."""
+    out = sys.stdout
+    if isinstance(out.buffer, io.RawIOBase):
+        # under PYTHONUNBUFFERED the text layer writes to the raw file and
+        # drops what a short write leaves; a BufferedWriter retries it, and
+        # the retry on a closed pipe raises BrokenPipeError
+        sys.stdout = io.TextIOWrapper(
+            io.BufferedWriter(out.buffer),
+            encoding=out.encoding,
+            errors=out.errors,
+            line_buffering=out.line_buffering,
+        )
     try:
         try:
             return main()

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import operator
 import sys
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import accumulate, chain
@@ -56,9 +57,9 @@ class DegreeSequence:
 
     Unsorted input is sorted; ``resorted`` records that it was.  Only the
     class sets the flag: it is not a constructor parameter.  ``total``, the
-    degree sum, and ``_graphic``, the Erdos-Gallai verdict taken from that
-    sum, are computed once here; they are not fields, so they take no part
-    in ``==``, ``hash`` or ``repr``."""
+    degree sum, and ``_graphic``, the Erdos-Gallai verdict, are computed
+    once here; they are not fields, so they take no part in ``==``,
+    ``hash`` or ``repr``."""
 
     degrees: tuple[int, ...]
     resorted: bool = field(default=False, compare=False, init=False)
@@ -80,7 +81,7 @@ class DegreeSequence:
             object.__setattr__(self, "degrees", degs)
         object.__setattr__(self, "total", sum(canonical))
         _check_degrees(len(canonical), canonical[-1], canonical[0], self.total)
-        object.__setattr__(self, "_graphic", _erdos_gallai(canonical, self.total))
+        object.__setattr__(self, "_graphic", _erdos_gallai(canonical))
 
     @property
     def n(self) -> int:
@@ -189,29 +190,27 @@ def _as_desc(seq: Degreeish) -> tuple[int, ...]:
     return tuple(sorted((_as_int(d, "degree") for d in seq), reverse=True))
 
 
-def _erdos_gallai(d: Sequence[int], total: int) -> bool:
-    """Erdos-Gallai test in O(n) on a non-increasing list of non-negative
-    integers with even sum ``total``, which the caller has already taken.
+def _erdos_gallai(d: Sequence[int]) -> bool:
+    """Erdos-Gallai test on a non-increasing list of non-negative integers
+    with even sum, in Hasselbarth's conjugate form (Sierksma and Hoogeveen,
+    "Seven criteria for integer sequences being graphic", J. Graph Theory
+    15, 1991): sum_{i<=k} d_i <= sum_{i<=k} (d*_i - 1) for each k with
+    d_k >= k, where d*_k, the number of entries >= k, is one bisection.
 
-    For k = 1..n the right side k(k-1) + sum_{j>k} min(k, d_j) is read off
-    running sums: with p the number of entries >= k, the entries after
-    position k contribute k each up to position p and their own value
-    beyond it (``tail`` = d_{p+1} + ... + d_n).  p only falls as k grows.
-    Once p <= k, every later step adds 2(k - d_{k+1}) > 0 to the slack
-    (right side minus left side), so the inequality at that k decides the
-    rest.
+    While d_k >= k, sum_{i<=k} d*_i = k^2 + sum_{j>k} min(k, d_j), so the
+    k-th test is the k-th Erdos-Gallai inequality.  Past the last such k,
+    the Durfee number (at most the square root of the degree sum), the
+    slack (right side minus left side) grows by 2(k - d_{k+1}) >= 0 per
+    step, so the loop takes at most that many steps plus one, each one
+    bisection.
     """
-    lhs = 0
-    tail = 0
-    p = len(d)
+    lhs = rhs = 0
     for k, x in enumerate(d, 1):
-        while p and d[p - 1] < k:
-            p -= 1
-            tail += d[p]
+        if x < k:
+            return True
         lhs += x
-        if p <= k:
-            return lhs <= k * (k - 1) + total - lhs
-        if lhs > k * (k - 1) + k * (p - k) + tail:
+        rhs += bisect_right(d, -k, key=operator.neg) - 1
+        if lhs > rhs:
             return False
     return True
 
@@ -220,19 +219,17 @@ def is_graphic(seq: Degreeish) -> bool:
     """Whether some simple graph realizes the degree multiset.
 
     Total function: accepts any integer multiset (a :class:`DegreeSequence`
-    or a raw iterable, zeros allowed).  The Erdos-Gallai test runs in O(n)
-    after an O(n log n) sort of raw input; a :class:`DegreeSequence` took
-    its verdict when it was made.
+    or a raw iterable, zeros allowed).  Raw input is sorted in O(n log n)
+    and summed once for its parity; the Erdos-Gallai test then takes at
+    most sqrt(sum) + 1 bisections.  A :class:`DegreeSequence` took its
+    verdict when it was made.
     """
     if isinstance(seq, DegreeSequence):
         return seq._graphic
     d = _as_desc(seq)
-    if not d:
-        return True
-    total = sum(d)
-    if d[-1] < 0 or total % 2 != 0:
+    if (d and d[-1] < 0) or sum(d) % 2:
         return False
-    return _erdos_gallai(d, total)
+    return _erdos_gallai(d)
 
 
 def is_connected_realizable(seq: DegreeSequence) -> bool:

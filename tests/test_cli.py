@@ -470,9 +470,9 @@ def _count_erdos_gallai(monkeypatch) -> list[int]:
     calls = []
     original = sq._erdos_gallai
 
-    def counting(d, total):
+    def counting(d):
         calls.append(len(d))
-        return original(d, total)
+        return original(d)
 
     monkeypatch.setattr(sq, "_erdos_gallai", counting)
     return calls
@@ -528,6 +528,21 @@ def test_closed_stdout_ends_quietly(argv, unbuffered):
         os.close(write_end)
     assert (proc.returncode, proc.stderr) == (cli.EXIT_PIPE, "")
     assert cli.EXIT_PIPE == 141
+
+
+def test_stdout_closed_mid_write_ends_quietly_when_unbuffered(tmp_path):
+    # `| head -c 10`: the pipe closes after the first write has begun, so a
+    # write is cut short; under PYTHONUNBUFFERED the text layer would drop
+    # the rest and exit 0 with the output cut
+    env = dict(os.environ, PYTHONUNBUFFERED="1")
+    err = tmp_path / "stderr"
+    argv = ["construct", "4^33334,1^66666", "--format", "edges"]
+    with open(err, "w") as stderr, subprocess.Popen(
+        [sys.executable, "-m", "zagrebmax", *argv], stdout=subprocess.PIPE, stderr=stderr, env=env
+    ) as proc:
+        assert len(proc.stdout.read(10)) == 10
+        proc.stdout.close()
+    assert (proc.returncode, err.read_text()) == (cli.EXIT_PIPE, "")
 
 
 def test_bicyclic_max_classifies_once(monkeypatch, capsys):

@@ -374,28 +374,53 @@ def test_linear_check_matches_reference_on_sorted_even_tails(degs):
     d = sorted(degs, reverse=True)
     if sum(d) % 2:
         d[0] += 1
-    assert sq._erdos_gallai(d, sum(d)) == eg_quadratic(d)
+    assert sq._erdos_gallai(d) == eg_quadratic(d)
+
+
+def test_conjugate_check_matches_reference_on_every_small_tuple():
+    # every non-increasing even-sum tuple of n entries from 0..n, so d_1 >= n
+    # and zeros are covered
+    for n in range(1, 9):
+        for d in combinations_with_replacement(range(n, -1, -1), n):
+            if sum(d) % 2 == 0:
+                assert sq._erdos_gallai(d) == eg_quadratic(d), d
+
+
+def test_conjugate_check_reads_only_the_durfee_square():
+    # 4^33334,1^66666 has Durfee number 4: at most five steps of one
+    # bisection each, where a scan of the list reads every entry
+    reads = 0
+
+    class CountingTuple(tuple):
+        def __getitem__(self, i):
+            nonlocal reads
+            reads += 1
+            return tuple.__getitem__(self, i)
+
+    n = 100_000
+    assert sq._erdos_gallai(CountingTuple((4,) * 33_334 + (1,) * 66_666))
+    assert reads <= (4 + 1) * ((n - 1).bit_length() + 1)
 
 
 def test_a_sequence_runs_erdos_gallai_once_when_it_is_made(monkeypatch):
     calls = []
     original = sq._erdos_gallai
 
-    def counting(d, total):
-        calls.append((len(d), total))
-        return original(d, total)
+    def counting(d):
+        calls.append(len(d))
+        return original(d)
 
     monkeypatch.setattr(sq, "_erdos_gallai", counting)
     seq = DegreeSequence.parse("4^5,1^8")
-    assert calls == [(13, 28)]
+    assert calls == [13]
     # every later read takes the verdict the constructor set
     assert is_graphic(seq) and is_connected_realizable(seq)
     assert classify(seq).kind == "bicyclic"
-    assert calls == [(13, 28)]
+    assert calls == [13]
     # a sequence that is not graphic is still made, with its verdict
     bad = DegreeSequence((3, 3, 1, 1))
     assert not is_graphic(bad) and not is_connected_realizable(bad)
-    assert calls == [(13, 28), (4, 8)]
+    assert calls == [13, 4]
 
 
 def test_cached_verdict_leaves_equality_and_hash_alone():
@@ -411,7 +436,8 @@ def test_cached_verdict_leaves_equality_and_hash_alone():
 
 @pytest.mark.parametrize("command", ["validate", "construct"])
 def test_a_request_sums_its_degree_list_once(monkeypatch, command):
-    # in the constructor; Erdos-Gallai and every other reader take its total
+    # in the constructor; every later reader takes its total, and Erdos-Gallai
+    # needs none
     text = ",".join(["4"] * 666 + ["1"] * 1334)
     sums = []
 
