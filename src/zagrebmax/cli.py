@@ -367,18 +367,38 @@ def run() -> int:
 
     Standard output is flushed inside the guard, so a reader that closes
     the pipe early (``| head``) ends the process with ``EXIT_PIPE`` and
-    nothing on stderr, not a ``BrokenPipeError`` traceback."""
+    nothing on stderr, not a ``BrokenPipeError`` traceback. A standard
+    output that is closed or unwritable at start ends it the same way,
+    before anything is written. A closed or unwritable standard error loses
+    its lines, never the exit code, and nothing meant for it goes to
+    standard output."""
+
+    def writable(fd: int, stream: Any) -> bool:
+        # a zero-byte write fails on a closed or read-only descriptor and
+        # returns 0 on any pipe, even one whose reader has gone
+        try:
+            os.write(fd, b"")
+        except OSError:
+            return False
+        return stream is not None
+
+    if not writable(1, sys.stdout):
+        return EXIT_PIPE
+    if not writable(2, sys.stderr):
+        # print(file=None) would write to stdout
+        sys.stderr = open(os.devnull, "w")
     out = sys.stdout
-    if isinstance(out.buffer, io.RawIOBase):
-        # under PYTHONUNBUFFERED the text layer writes to the raw file and
-        # drops what a short write leaves; a BufferedWriter retries it, and
-        # the retry on a closed pipe raises BrokenPipeError
-        sys.stdout = io.TextIOWrapper(
-            io.BufferedWriter(out.buffer),
-            encoding=out.encoding,
-            errors=out.errors,
-            line_buffering=out.line_buffering,
-        )
+    # one stack in every mode: under PYTHONUNBUFFERED the text layer would
+    # write to the raw file and drop what a short write leaves, while a
+    # BufferedWriter retries it, and the retry on a closed pipe raises
+    # BrokenPipeError
+    sys.stdout = io.TextIOWrapper(
+        io.BufferedWriter(io.FileIO(1, "w", closefd=False)),
+        encoding=out.encoding,
+        errors=out.errors,
+        newline="\n",
+        line_buffering=out.line_buffering,
+    )
     try:
         try:
             return main()

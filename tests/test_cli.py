@@ -503,14 +503,19 @@ def test_m2_and_plain_majorize_run_erdos_gallai_once_per_sequence(
     assert calls == [13, 13]
 
 
+_REPORT = ("validate", "4^5,1^8")
+_EDGES = ("construct", "4^5,1^8", "--format", "edges")
+
+
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
 @pytest.mark.parametrize(
-    "argv",
-    [("validate", "4^5,1^8"), ("construct", "4^5,1^8", "--format", "edges")],
-    ids=["report", "edges"],
+    "argv, fd_closed",
+    [(_REPORT, False), (_EDGES, False), (_REPORT, True), (_EDGES, True)],
+    ids=["report", "edges", "report-fd-closed", "edges-fd-closed"],
 )
-def test_closed_stdout_ends_quietly(argv, unbuffered):
-    # the read end is closed before the child starts, so its first write fails
+def test_closed_stdout_ends_quietly(argv, fd_closed, unbuffered):
+    # the read end is closed before the child starts, so its first write
+    # fails; or fd 1 itself is closed, so the child starts without stdout
     read_end, write_end = os.pipe()
     os.close(read_end)
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
@@ -523,6 +528,7 @@ def test_closed_stdout_ends_quietly(argv, unbuffered):
             stderr=subprocess.PIPE,
             text=True,
             env=env,
+            preexec_fn=(lambda: os.close(1)) if fd_closed else None,
         )
     finally:
         os.close(write_end)
@@ -543,6 +549,38 @@ def test_stdout_closed_mid_write_ends_quietly_when_unbuffered(tmp_path):
         assert len(proc.stdout.read(10)) == 10
         proc.stdout.close()
     assert (proc.returncode, err.read_text()) == (cli.EXIT_PIPE, "")
+
+
+@pytest.mark.parametrize("stderr", ["closed", "read-only"])
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (("validate", "x"), cli.EXIT_PARSE),
+        (("oracle", "2^20"), cli.EXIT_CAP),
+        (("validate", "3,3"), cli.EXIT_DOMAIN),
+        (("construct", "4,4,3,3,2,1,1", "--format", "edges"), cli.EXIT_OK),
+    ],
+    ids=["parse", "cap", "domain", "edges-with-warnings"],
+)
+def test_unusable_stderr_keeps_exit_code_and_stdout(argv, code, stderr):
+    # each call writes one JSON line on stderr; with stderr closed it must
+    # not reach stdout, and with stderr read-only its failed write must not
+    # change the exit code
+    env = {k: v for k, v in os.environ.items() if k != "ZAGREBMAX_ORACLE_CAP"}
+    cmd = [sys.executable, "-m", "zagrebmax", *argv]
+    with_stderr = subprocess.run(cmd, capture_output=True, text=True, env=env)
+    assert with_stderr.returncode == code and with_stderr.stderr.startswith("{")
+    with open(os.devnull) as read_only:
+        proc = subprocess.run(
+            cmd,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.DEVNULL if stderr == "closed" else read_only,
+            text=True,
+            env=env,
+            preexec_fn=(lambda: os.close(2)) if stderr == "closed" else None,
+        )
+    assert (proc.returncode, proc.stdout) == (code, with_stderr.stdout)
+    assert len(proc.stdout.splitlines()) == (10 if code == cli.EXIT_OK else 0)
 
 
 def test_bicyclic_max_classifies_once(monkeypatch, capsys):
