@@ -221,32 +221,29 @@ def cmd_sweep(args, n, excess) -> tuple[dict, list[str]]:
     if n > cap:
         raise CapExceededError(f"n = {n} exceeds the oracle cap {cap}")
     seqs = sq.connected_realizable_sequences(n, excess)
-    rows = []
-    maxima = {}
-    for seq in seqs:
-        if excess == 1:
-            value, method = bc.bicyclic_max_m2(seq).value, "closed_form"
-        else:
-            value, method = orc.search_max_m2(seq, cap=cap).max_m2, "oracle"
-        maxima[seq.degrees] = value
-        rows.append(
-            {"sequence": seq.to_text(), "max_m2": value, "method": method}
-        )
+    if excess == 1:
+        method = "closed_form"
+        values = [bc.bicyclic_max_m2(seq).value for seq in seqs]
+    else:
+        method = "oracle"
+        values = [orc.search_max_m2(seq, cap=cap).max_m2 for seq in seqs]
     result: dict[str, Any] = {
         "n": n,
         "excess": excess,
-        "count": len(rows),
-        "sequences": rows,
+        "count": len(seqs),
+        "sequences": [
+            {"sequence": seq.to_text(), "max_m2": value, "method": method}
+            for seq, value in zip(seqs, values)
+        ],
     }
     if args.verify_monotone:
         violations = []
         checked = 0
         # seqs ascend lexicographically, so only lo can lie below hi
-        for lo, hi in combinations(seqs, 2):
+        for (lo, vlo), (hi, vhi) in combinations(zip(seqs, values), 2):
             if sq.majorization_compare(lo, hi) != sq.MajorizationOrder.A_BELOW_B:
                 continue
             checked += 1
-            vlo, vhi = maxima[lo.degrees], maxima[hi.degrees]
             if vlo >= vhi:
                 violations.append(
                     {

@@ -74,11 +74,8 @@ class DegreeSequence:
         if not degs:
             raise DomainError("degree sequence must be non-empty")
         canonical = tuple(sorted(degs, reverse=True))
-        if canonical != degs:
-            object.__setattr__(self, "degrees", canonical)
-            object.__setattr__(self, "resorted", True)
-        else:
-            object.__setattr__(self, "degrees", degs)
+        object.__setattr__(self, "degrees", canonical)
+        object.__setattr__(self, "resorted", canonical != degs)
         object.__setattr__(self, "total", sum(canonical))
         _check_degrees(len(canonical), canonical[-1], canonical[0], self.total)
         object.__setattr__(self, "_graphic", _erdos_gallai(canonical))
@@ -319,8 +316,9 @@ def majorization_chain(a: DegreeSequence, b: DegreeSequence) -> tuple[DegreeSequ
     where the target's prefix sum strictly exceeds the current one, q the
     first later position where the current value exceeds the target's,
     pushed to the end of its equal-value block so sortedness survives.
-    Returns the tuple of steps, ``a`` first and ``b`` last (one step when
-    they are equal).
+    p only moves right, and the loop ends when every position matches, so
+    no step counter is needed.  Returns the tuple of steps, ``a`` first and
+    ``b`` last (one step when they are equal).
     """
     order = majorization_compare(a, b)
     if order not in (MajorizationOrder.EQUAL, MajorizationOrder.A_BELOW_B):
@@ -331,24 +329,26 @@ def majorization_chain(a: DegreeSequence, b: DegreeSequence) -> tuple[DegreeSequ
         raise DomainError("chain endpoints must both be graphic")
     cur = list(a.degrees)
     target = b.degrees
+    n = len(cur)
     steps = [a]
-    guard = sum(abs(x - y) for x, y in zip(accumulate(cur), accumulate(target)))
-    while steps[-1].degrees != target:
-        p = next(i for i in range(len(cur)) if cur[i] != target[i])
-        q = next(j for j in range(p + 1, len(cur)) if cur[j] > target[j])
-        while q + 1 < len(cur) and cur[q + 1] == cur[q]:
-            q += 1
-        cur[p] += 1
-        cur[q] -= 1
-        step = DegreeSequence(tuple(cur))
-        if not is_graphic(step):
-            raise DomainError(
-                f"internal: intermediate ({step.to_text()}) is not graphic"
-            )
-        steps.append(step)
-        guard -= 1
-        if guard < 0:
-            raise DomainError("internal: unit-transfer chain failed to terminate")
+    # b dominates cur, so where the two first differ cur is below; a
+    # transfer raises cur[p] by one and changes only later positions, so
+    # the first difference never moves left
+    for p in range(n):
+        while cur[p] < target[p]:
+            q = next(j for j in range(p + 1, n) if cur[j] > target[j])
+            while q + 1 < n and cur[q + 1] == cur[q]:
+                q += 1
+            cur[p] += 1
+            cur[q] -= 1
+            step = DegreeSequence(tuple(cur))
+            if not is_graphic(step):
+                raise DomainError(
+                    f"internal: intermediate ({step.to_text()}) is not graphic"
+                )
+            steps.append(step)
+    if steps[-1].degrees != target:
+        raise DomainError("internal: unit-transfer chain did not reach the target")
     return tuple(steps)
 
 
@@ -391,5 +391,5 @@ def connected_realizable_sequences(n: int, excess: int) -> list[DegreeSequence]:
     if n < 1 or excess < -1:
         return []
     total = 2 * (n + excess)
-    candidates = [DegreeSequence(t) for t in _bounded_partitions(total, n, n - 1)]
+    candidates = map(DegreeSequence, _bounded_partitions(total, n, n - 1))
     return [s for s in candidates if is_graphic(s)]

@@ -9,7 +9,7 @@ optima with the same index.
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations, permutations
+from itertools import accumulate, combinations, permutations
 from typing import Iterable, Iterator, Optional, Sequence
 
 from zagrebmax import (
@@ -175,6 +175,41 @@ def assert_valid_chain(chain, a: DegreeSequence, b: DegreeSequence):
             MajorizationOrder.A_BELOW_B,
             MajorizationOrder.EQUAL,
         )
+
+
+def majorization_chain_reference(
+    a: DegreeSequence, b: DegreeSequence
+) -> tuple[DegreeSequence, ...]:
+    """majorization_chain as a loop that finds p again from position 0 on
+    every step and counts its steps, kept as the reference for the step rule."""
+    order = majorization_compare(a, b)
+    if order not in (MajorizationOrder.EQUAL, MajorizationOrder.A_BELOW_B):
+        raise DomainError(
+            f"({a.to_text()}) is not dominated by ({b.to_text()}); no chain exists"
+        )
+    if not is_graphic(a) or not is_graphic(b):
+        raise DomainError("chain endpoints must both be graphic")
+    cur = list(a.degrees)
+    target = b.degrees
+    steps = [a]
+    guard = sum(abs(x - y) for x, y in zip(accumulate(cur), accumulate(target)))
+    while steps[-1].degrees != target:
+        p = next(i for i in range(len(cur)) if cur[i] != target[i])
+        q = next(j for j in range(p + 1, len(cur)) if cur[j] > target[j])
+        while q + 1 < len(cur) and cur[q + 1] == cur[q]:
+            q += 1
+        cur[p] += 1
+        cur[q] -= 1
+        step = DegreeSequence(tuple(cur))
+        if not is_graphic(step):
+            raise DomainError(
+                f"internal: intermediate ({step.to_text()}) is not graphic"
+            )
+        steps.append(step)
+        guard -= 1
+        if guard < 0:
+            raise DomainError("internal: unit-transfer chain failed to terminate")
+    return tuple(steps)
 
 
 def valid_swaps(g):

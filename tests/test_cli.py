@@ -8,7 +8,14 @@ import tracemalloc
 
 import pytest
 
-from zagrebmax import SimpleGraph, cli, serialize_edge_list, to_dot
+from zagrebmax import (
+    SimpleGraph,
+    bicyclic_max_m2,
+    cli,
+    search_max_m2,
+    serialize_edge_list,
+    to_dot,
+)
 from zagrebmax import sequences as sq
 from helpers import SEVEN_VERTEX_GREEDY
 
@@ -747,6 +754,47 @@ def test_sweep_majorization_census(n, capsys):
         result = json.loads(out)["result"]
         assert result["checked_pairs"] == want, c
         assert result["violations"] == (at_c4 if c == 4 else []), c
+
+
+def _sweep_from_library(n, c):
+    """The ``sweep --verify-monotone`` result built from library calls."""
+    seqs = sq.connected_realizable_sequences(n, c)
+    if c == 1:
+        rows = [(s, bicyclic_max_m2(s).value, "closed_form") for s in seqs]
+    else:
+        rows = [(s, search_max_m2(s, cap=n).max_m2, "oracle") for s in seqs]
+    violations = []
+    checked = 0
+    for i, (lo, m_lo, _) in enumerate(rows):
+        for hi, m_hi, _ in rows[i + 1:]:
+            if sq.majorization_compare(lo, hi) == sq.MajorizationOrder.A_BELOW_B:
+                checked += 1
+                if m_lo >= m_hi:
+                    violations.append(
+                        {"below": lo.to_text(), "above": hi.to_text(),
+                         "max_below": m_lo, "max_above": m_hi,
+                         "kind": "tie" if m_lo == m_hi else "decrease"}
+                    )
+    return {
+        "n": n,
+        "excess": c,
+        "count": len(rows),
+        "sequences": [
+            {"sequence": s.to_text(), "max_m2": m, "method": method}
+            for s, m, method in rows
+        ],
+        "checked_pairs": checked,
+        "violations": violations,
+    }
+
+
+def test_sweep_matches_library_calls(capsys):
+    for n in range(1, 9):
+        for c in range(-1, 5):
+            argv = ("sweep", "--n", str(n), "--excess", str(c), "--verify-monotone")
+            code, out, err = _main_in_process(argv, capsys)
+            assert (code, err) == (0, "")
+            assert json.loads(out)["result"] == _sweep_from_library(n, c), (n, c)
 
 
 def test_sweep_cap_guard():

@@ -32,7 +32,9 @@ from helpers import (
     all_pairs,
     assert_valid_chain,
     eg_quadratic,
+    majorization_chain_reference,
     outcome,
+    random_connected_graph,
 )
 
 
@@ -368,7 +370,7 @@ def test_is_graphic_matches_quadratic_reference(degs):
 
 @settings(max_examples=400)
 @given(_degree_lists(min_value=0))
-def test_linear_check_matches_reference_on_sorted_even_tails(degs):
+def test_conjugate_check_matches_reference_on_sorted_even_lists(degs):
     # what is_graphic passes on from raw input: sorted non-increasing, zeros
     # allowed, even sum
     d = sorted(degs, reverse=True)
@@ -622,6 +624,67 @@ def test_chain_valid_for_all_comparable_pairs_n6():
                 assert_valid_chain(majorization_chain(a, b), a, b)
                 checked += 1
     assert checked > 20
+
+
+def _steps(chain):
+    return [s.degrees for s in chain]
+
+
+def test_chain_steps_match_reference_on_every_small_pair():
+    # every ordered pair a <= b in dominance among the connected-realizable
+    # sequences of one order and excess: the documented step rule, step by step
+    pairs = 0
+    for n in range(2, 9):
+        for c in range(-1, 5):
+            seqs = connected_realizable_sequences(n, c)
+            for a in seqs:
+                for b in seqs:
+                    if majorization_compare(a, b) in (
+                        MajorizationOrder.EQUAL,
+                        MajorizationOrder.A_BELOW_B,
+                    ):
+                        want = _steps(majorization_chain_reference(a, b))
+                        assert _steps(majorization_chain(a, b)) == want, (a, b)
+                        pairs += 1
+    assert pairs == 4512
+
+
+def _dominating_pair(rng, n):
+    """A graphic sequence a on n vertices and a b above it in dominance, drawn
+    by moving single units from later to earlier positions of a while the
+    result stays non-increasing and graphic."""
+    g = random_connected_graph(rng, n, rng.randrange(n, 3 * n))
+    a = sorted(g.degrees()[1:], reverse=True)
+    b = list(a)
+    for _ in range(n):
+        # a unit may leave the last entry of a run (not a 1) for the first
+        # entry of an earlier run: b stays non-increasing and positive
+        i = rng.choice([i for i in range(n) if i == 0 or b[i] < b[i - 1]])
+        ends = [j for j in range(i + 1, n) if b[j] > (b[j + 1] if j + 1 < n else 1)]
+        if not ends:
+            continue
+        j = rng.choice(ends)
+        b[i] += 1
+        b[j] -= 1
+        if not is_graphic(b):
+            b[i] -= 1
+            b[j] += 1
+    return DegreeSequence(a), DegreeSequence(b)
+
+
+def test_chain_steps_match_reference_on_far_pairs():
+    rng = random.Random(2)
+    steps = 0
+    for _ in range(24):
+        a, b = _dominating_pair(rng, rng.randrange(50, 251))
+        assert majorization_compare(a, b) in (
+            MajorizationOrder.EQUAL,
+            MajorizationOrder.A_BELOW_B,
+        )
+        want = _steps(majorization_chain_reference(a, b))
+        assert _steps(majorization_chain(a, b)) == want
+        steps += len(want) - 1
+    assert steps > 1000
 
 
 def test_bicyclic_chain_stays_bicyclic():
