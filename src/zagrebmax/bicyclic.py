@@ -26,6 +26,13 @@ FAMILY_THETA = "theta"
 FAMILY_GLUED_PATHS = "shared_vertex_with_paths"
 FAMILY_LAYERED = "layered_bfs"
 
+# each family's notation over its params; the pendant paths format their own
+_NOTATION = {
+    FAMILY_GLUED: "B({},{})",
+    FAMILY_PATH_JOINED: "B({},{},{})",
+    FAMILY_THETA: "B(P_{},P_{},P_{})",
+}
+
 
 @dataclass(frozen=True)
 class BicyclicMaxResult:
@@ -43,33 +50,26 @@ class BicyclicMaxResult:
     graph: SimpleGraph
 
     def label(self) -> str:
-        """Human notation of the witness, e.g. B(3,4) or B(P_3,P_2,P_1)."""
+        """Human notation of the witness: B(p,q) for glued cycles, B(p,r,q)
+        for path-joined ones, B(P_k,P_l,P_m) for the theta graph,
+        B(p,q;l1,...,lt) for glued cycles with pendant paths, and
+        layered-bfs for the layered construction."""
         p = self.params
-        if self.family == FAMILY_GLUED:
-            return f"B({p[0]},{p[1]})"
-        if self.family == FAMILY_PATH_JOINED:
-            return f"B({p[0]},{p[1]},{p[2]})"
-        if self.family == FAMILY_THETA:
-            return f"B(P_{p[0]},P_{p[1]},P_{p[2]})"
         if self.family == FAMILY_GLUED_PATHS:
-            lengths = ",".join(str(x) for x in p[2:])
-            return f"B({p[0]},{p[1]};{lengths})"
-        return "layered-bfs"
+            return f"B({p[0]},{p[1]};{','.join(map(str, p[2:]))})"
+        return _NOTATION.get(self.family, "layered-bfs").format(*p)
 
 
-def _cycle_edges(vertices: Sequence[int]) -> list[tuple[int, int]]:
-    return [
-        (vertices[i], vertices[(i + 1) % len(vertices)]) for i in range(len(vertices))
-    ]
+def _walk_edges(walk: list[int]) -> list[tuple[int, int]]:
+    """The edges between consecutive vertices of ``walk``."""
+    return list(zip(walk, walk[1:]))
 
 
 def _glued_cycle_edges(p: int, q: int) -> list[tuple[int, int]]:
     """Edges of C_p and C_q sharing exactly the vertex 1, on 1..p+q-1."""
     if p < 3 or q < 3:
         raise DomainError(f"cycle lengths must be >= 3, got ({p},{q})")
-    edges = _cycle_edges(list(range(1, p + 1)))
-    edges += _cycle_edges([1] + list(range(p + 1, p + q)))
-    return edges
+    return _walk_edges([*range(1, p + 1), 1, *range(p + 1, p + q), 1])
 
 
 def build_vertex_glued_cycles(p: int, q: int) -> SimpleGraph:
@@ -87,12 +87,9 @@ def build_path_joined_cycles(p: int, r: int, q: int) -> SimpleGraph:
     if r < 1:
         raise DomainError(f"joining path length must be >= 1, got {r}")
     n = p + q + r - 1
-    edges = _cycle_edges(list(range(1, p + 1)))
-    path = [1] + list(range(p + 1, p + r + 1))
-    edges += list(zip(path, path[1:]))
+    # round C_p from 1, along the path to its far end, round C_q from there
     far = p + r
-    edges += _cycle_edges([far] + list(range(far + 1, far + q)))
-    return SimpleGraph(n, edges)
+    return SimpleGraph(n, _walk_edges([*range(1, p + 1), 1, *range(p + 1, n + 1), far]))
 
 
 def build_theta(k: int, l: int, m: int) -> SimpleGraph:
@@ -104,14 +101,10 @@ def build_theta(k: int, l: int, m: int) -> SimpleGraph:
     if sum(1 for x in (k, l, m) if x == 1) > 1:
         raise DomainError(f"two unit paths would form a multi-edge: ({k},{l},{m})")
     n = k + l + m - 1
-    x, y = 1, 2
-    edges: list[tuple[int, int]] = []
-    nxt = 3
-    for length in (k, l, m):
-        path = [x] + list(range(nxt, nxt + length - 1)) + [y]
-        nxt += length - 1
-        edges += list(zip(path, path[1:]))
-    return SimpleGraph(n, edges)
+    # out from 1 to 2 along the k-path, back along the l-path, out along the m-path
+    walk = [1, *range(3, k + 2), 2, *reversed(range(k + 2, k + l + 1))]
+    walk += [1, *range(k + l + 1, n + 1), 2]
+    return SimpleGraph(n, _walk_edges(walk))
 
 
 def build_glued_cycles_with_paths(

@@ -27,7 +27,6 @@ from zagrebmax import (
     majorization_compare,
     MajorizationOrder,
 )
-from zagrebmax.bicyclic import _glued_cycle_edges
 from zagrebmax.constructor import ConstructionTrace
 from zagrebmax.oracle import _distinct_assignments
 from zagrebmax.sequences import (
@@ -737,7 +736,11 @@ def build_glued_cycles_with_paths_reference(p, q, lengths) -> SimpleGraph:
         raise DomainError("need at least one pendant path")
     if any(x < 1 for x in lengths):
         raise DomainError(f"path lengths must be >= 1, got {lengths}")
-    edges = _glued_cycle_edges(p, q)
+    if p < 3 or q < 3:
+        raise DomainError(f"cycle lengths must be >= 3, got ({p},{q})")
+    edges: list[tuple[int, int]] = []
+    for cycle in (list(range(1, p + 1)), [1] + list(range(p + 1, p + q))):
+        edges += zip(cycle, cycle[1:] + [1])
     nxt = p + q
     n = nxt - 1 + sum(lengths)
     for length in lengths:

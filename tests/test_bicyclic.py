@@ -1,5 +1,7 @@
 """Tests for the bicyclic family builders and the closed-form maxima."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -11,8 +13,10 @@ from zagrebmax import (
     build_path_joined_cycles,
     build_theta,
     build_vertex_glued_cycles,
+    construct_extremal,
     degree_sequence_of,
     is_connected,
+    is_connected_realizable,
     search_max_m2,
     second_zagreb,
 )
@@ -185,8 +189,79 @@ def test_witness_always_realizes_the_sequence():
             assert second_zagreb(g) == res.value
 
 
-def test_agrees_with_oracle_up_to_n12():
-    for n in range(4, 13):
+def _agrees_with_oracle(orders):
+    for n in orders:
         for seq in connected_realizable_sequences(n, 1):
             want = search_max_m2(seq, cap=n).max_m2
             assert bicyclic_max_m2(seq).value == want, seq.to_text()
+
+
+def test_agrees_with_oracle_up_to_n16():
+    _agrees_with_oracle(range(4, 17))
+
+
+@pytest.mark.slow
+def test_agrees_with_oracle_at_n17_n18():
+    _agrees_with_oracle((17, 18))
+
+
+def _workload_draw(rng, n, case):
+    """A bicyclic sequence of the given case at order n, drawn from the
+    profiles the ``scale`` benchmark workload sends."""
+    if case == 1:
+        return DegreeSequence((3, 3) + (2,) * (n - 2))
+    if case == 2:
+        return DegreeSequence((4,) + (2,) * (n - 1))
+    if case in (3, 4):
+        # profile (s+4, 2^(n-1-s), 1^s); case 3 iff 2s <= n-5
+        lo, hi = (1, (n - 5) // 2) if case == 3 else ((n - 5) // 2 + 1, n - 5)
+        s = rng.randint(lo, hi)
+        return DegreeSequence((s + 4,) + (2,) * (n - 1 - s) + (1,) * s)
+    while True:
+        # all ones, the floors d1, d2 >= 3 and d3, d4 >= 2, then the
+        # remaining n - 4 of the degree sum 2(n+1) spread at random
+        deg = [3, 3, 2, 2] + [1] * (n - 4)
+        for _ in range(n - 4):
+            deg[rng.randrange(n)] += 1
+        seq = DegreeSequence(deg)
+        if seq.degrees[1] >= 3 and seq.degrees[-1] == 1 and is_connected_realizable(seq):
+            return seq
+
+
+def _pendant_paths_witness(p, q, *lengths):
+    return build_glued_cycles_with_paths(p, q, lengths)
+
+
+def _pendant_paths_notation(p, q, *lengths):
+    return f"B({p},{q};{','.join(map(str, lengths))})"
+
+
+# case: (its witness family, the family's builder, its notation), each
+# applied to the result's params
+_WITNESS_OF_CASE = {
+    1: ("two_cycles_path", build_path_joined_cycles, "B({},{},{})".format),
+    2: ("two_cycles_shared_vertex", build_vertex_glued_cycles, "B({},{})".format),
+    3: ("shared_vertex_with_paths", _pendant_paths_witness, _pendant_paths_notation),
+    4: ("shared_vertex_with_paths", _pendant_paths_witness, _pendant_paths_notation),
+}
+
+
+def test_witnesses_at_workload_sizes():
+    rng = random.Random(2015)
+    for case in range(1, 6):
+        for n in (100, 2000, rng.randint(101, 1999)):
+            seq = _workload_draw(rng, n, case)
+            res = bicyclic_max_m2(seq)
+            g = res.graph
+            assert res.case_id == case, seq.to_text()
+            assert degree_sequence_of(g).degrees == seq.degrees
+            assert is_connected(g) and g.n == n and g.m == n + 1
+            assert second_zagreb(g) == res.value
+            if case == 5:
+                assert (res.family, res.params) == ("layered_bfs", ())
+                assert res.label() == "layered-bfs"
+                assert g == construct_extremal(seq).graph
+            else:
+                family, build, notation = _WITNESS_OF_CASE[case]
+                assert res.family == family and build(*res.params) == g
+                assert res.label() == notation(*res.params)
