@@ -252,13 +252,19 @@ def _refine(
     multiset in base n + 1, and signatures order by color first.  Color ids
     are assigned in sorted-signature order, so they are canonical (they
     agree across isomorphic colored graphs) and keep the order of the cells
-    they split."""
+    they split.
+
+    ``canonical_form`` takes the first round itself and hands on its
+    result: at the root the degree classes, in a child the split of each
+    cell by adjacency to the individualized vertex, and in a child only when
+    that split split a cell."""
     n = g.n
+    edges = g.edges
     top = weight[n]
     while ncolors < n:
-        wc = [weight[c] for c in colors]
+        wc = list(map(weight.__getitem__, colors))
         sigs = [c * top for c in colors]
-        for u, v in g.edges:
+        for u, v in edges:
             sigs[u] -= wc[v]
             sigs[v] -= wc[u]
         del sigs[0]
@@ -266,31 +272,33 @@ def _refine(
         if len(distinct) == ncolors:
             break
         ncolors = len(distinct)
-        rank = {sig: i for i, sig in enumerate(sorted(distinct))}
+        rank = dict(zip(sorted(distinct), range(ncolors)))
         colors = [0]
         colors.extend(map(rank.__getitem__, sigs))
     return colors, ncolors
 
 
-def _twin_classes(g: SimpleGraph) -> list[int]:
-    """For each vertex (entry 0 unused), the least vertex with the same open
-    or the same closed neighborhood.  Swapping two such twins is an
-    automorphism."""
+def _twin_classes(masks: list[int]) -> list[int]:
+    """For each vertex (entry 0 unused) of the graph whose neighborhoods
+    are the bitmasks ``masks``, the least vertex with the same open or the
+    same closed neighborhood.  Swapping two such twins is an automorphism."""
     # one dict serves both kinds: N(u) = N[v] would put u in N(u)
-    adj = g._adjacency()
-    first: dict[tuple[int, ...], int] = {}
-    twin = [0]
-    for v in range(1, g.n + 1):
-        a = first.setdefault(adj[v], v)
-        b = first.setdefault(tuple(sorted(adj[v] + (v,))), v)
-        twin.append(min(a, b))
+    first: dict[int, int] = {}
+    twin = [0] * len(masks)
+    for v in range(1, len(masks)):
+        a = first.setdefault(masks[v], v)
+        b = first.setdefault(masks[v] | 1 << v, v)
+        twin[v] = a if a < b else b
     return twin
 
 
 def canonical_form(
     g: SimpleGraph, perm_cap: int = 2_000_000
 ) -> tuple[tuple[int, int], ...]:
-    """Canonical edge tuple: equal for two graphs iff they are isomorphic.
+    """Canonical edge tuple: for two graphs on the same number of vertices,
+    equal iff they are isomorphic.  The tuple does not hold the vertex
+    count: ``SimpleGraph(3, [(1, 2)])`` and ``SimpleGraph(4, [(1, 2)])``
+    both give ``((1, 2),)``.
 
     Individualization-refinement (McKay & Piperno, "Practical graph
     isomorphism, II", 2014): color-refine the vertices, take the first cell
@@ -299,6 +307,14 @@ def canonical_form(
     on canonical colors, so the set of discrete leaves is the same for
     isomorphic graphs; the least relabeled edge list over those leaves is
     the form.
+
+    The root's refinement starts from the degree classes, highest degree
+    first, which is refinement's first round from one color.  A node's
+    coloring is equitable, so individualizing v splits each cell of a child
+    only by adjacency to v: v's non-neighbors keep the lower id and its
+    neighbors take the next.  That first round is read off v's adjacency
+    bitmask, and ``_refine`` runs only if it split a cell; if none split,
+    the child is already equitable and is not refined at all.
 
     The search skips children that an automorphism maps onto a child
     already explored.  At a node whose individualized path is P, a child is
@@ -324,12 +340,21 @@ def canonical_form(
     n = g.n
     edges = g.edges
     weight = [(n + 1) ** c for c in range(n + 1)]
-    colors, ncolors = _refine(g, [0] * (n + 1), 1, weight)
-    twin = _twin_classes(g) if ncolors < n else []
+    deg = g._deg
+    rank = dict(zip(sorted(set(deg[1:]), reverse=True), range(n)))
+    colors = [0]
+    colors.extend(map(rank.__getitem__, deg[1:]))
+    colors, ncolors = _refine(g, colors, len(rank), weight)
+    if ncolors < n:
+        masks = [0] * (n + 1)  # neighborhoods as bitmasks
+        for u, v in edges:
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
+        twin = _twin_classes(masks)
     # automorphisms read off equal leaves, as vertex maps (entry 0 unused)
     autos: list[list[int]] = []
     best: list[int] | None = None  # least edge keys u * n + v over the leaves
-    best_vertex: list[int] = []  # the best leaf's color -> vertex
+    best_colors: list[int] = []  # the best leaf's vertex -> color
     best_path: list[int] = []
     nodes = 0
 
@@ -337,7 +362,7 @@ def canonical_form(
         """Search below ``path``; return the depth of the node at which the
         search goes on (``len(path)`` unless an automorphism found below
         makes the rest of an ancestor's current child redundant)."""
-        nonlocal best, best_vertex, best_path, nodes
+        nonlocal best, best_colors, best_path, nodes
         nodes += 1
         if nodes > perm_cap:
             raise CapExceededError(
@@ -352,12 +377,12 @@ def canonical_form(
                 ]
             )
             if best is None or cert < best:
-                best, best_path = cert, path
-                best_vertex = [0] * n
-                for v in range(1, n + 1):
-                    best_vertex[colors[v]] = v
+                best, best_colors, best_path = cert, colors, path
             elif cert == best:
-                autos.append([0] + [best_vertex[colors[v]] for v in range(1, n + 1)])
+                vertex = [0] * n  # the best leaf's color -> vertex
+                for v in range(1, n + 1):
+                    vertex[best_colors[v]] = v
+                autos.append([0] + [vertex[colors[v]] for v in range(1, n + 1)])
                 # the automorphism maps this path onto the best one, so it
                 # fixes their common prefix and maps the child taken after it
                 # onto the best path's, whose subtree is explored: go back
@@ -370,13 +395,21 @@ def canonical_form(
         sizes = [0] * ncolors
         for v in range(1, n + 1):
             sizes[colors[v]] += 1
-        target = next(c for c, size in enumerate(sizes) if size > 1)
+        for target, size in enumerate(sizes):
+            if size > 1:
+                break
         cell = [v for v in range(1, n + 1) if colors[v] == target]
         orbit = {v: twin[v] for v in cell}  # cell vertex -> orbit label
-        explored: list[int] = []
+        taken: set[int] = set()  # the orbit labels of the explored children
+        # a child's coloring before its first round: v takes the target id,
+        # and the rest of v's cell and every later cell move up one
+        shifted = [c + (c >= target) for c in colors]
+        sizes[target] -= 1  # in a child, the rest of v's cell
         absorbed = 0
         for v in cell:
-            if explored:
+            if orbit[v] in taken:
+                continue
+            if absorbed < len(autos):
                 for perm in autos[absorbed:]:
                     if all(perm[p] == p for p in path):
                         for u in cell:
@@ -385,13 +418,37 @@ def canonical_form(
                                 for w in cell:
                                     if orbit[w] == b:
                                         orbit[w] = a
+                                if b in taken:
+                                    taken.add(a)
                 absorbed = len(autos)
-                if any(orbit[w] == orbit[v] for w in explored):
+                if orbit[v] in taken:
                     continue
-            explored.append(v)
-            split = [c + (c >= target) for c in colors]
-            split[v] = target
-            resume = search(*_refine(g, split, ncolors + 1, weight), path + [v])
+            taken.add(orbit[v])
+            # refinement's first round: the coloring is equitable, so it
+            # splits a cell only by adjacency to v, and no cell if the cells
+            # of v's neighbors hold no other vertex
+            nv = masks[v]
+            touched = set()  # the cells of v's neighbors
+            rest = nv
+            while rest:
+                low = rest & -rest
+                touched.add(colors[low.bit_length() - 1])
+                rest ^= low
+            if sum(map(sizes.__getitem__, touched)) == nv.bit_count():
+                # the child is equitable: no refinement
+                child = shifted.copy()
+                child[v] = target
+                resume = search(child, ncolors + 1, path + [v])
+            else:
+                # each cell splits into v's non-neighbors, then its neighbors
+                keys = [2 * c + (nv >> u & 1) for u, c in enumerate(shifted)]
+                keys[v] = 2 * target
+                del keys[0]
+                distinct = set(keys)
+                rank = dict(zip(sorted(distinct), range(len(distinct))))
+                first = [0]
+                first.extend(map(rank.__getitem__, keys))
+                resume = search(*_refine(g, first, len(distinct), weight), path + [v])
             if resume < len(path):
                 return resume
         return len(path)
@@ -403,7 +460,7 @@ def canonical_form(
             f"n = {n}: the canonical form search recurses past Python's recursion limit"
         ) from None
     assert best is not None
-    return tuple((key // n + 1, key % n + 1) for key in best)
+    return tuple([(key // n + 1, key % n + 1) for key in best])
 
 
 def is_isomorphic(g1: SimpleGraph, g2: SimpleGraph) -> bool:

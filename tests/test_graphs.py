@@ -1,5 +1,6 @@
 """Tests for the graph type, the index, and graph I/O."""
 
+import hashlib
 import random
 import re
 
@@ -411,13 +412,25 @@ def test_canonical_form_partitions_like_the_permutation_scan_up_to_n5():
 
 
 def test_canonical_form_partitions_like_the_unpruned_search_at_n6():
-    # all 32,768 labeled graphs on 6 vertices, 156 classes
+    # all 32,768 labeled graphs on 6 vertices, 156 classes.  The digest pins
+    # the forms themselves, of those graphs and of 1,000 seeded random graphs
+    # on 7-12 vertices, so a faster search must return the same edge tuples
     pairs = all_pairs(6)
     keys = set()
+    digest = hashlib.sha256()
     for mask in range(1 << len(pairs)):
         g = SimpleGraph(6, [e for bit, e in enumerate(pairs) if mask >> bit & 1])
-        keys.add((canonical_form(g), canonical_form_unpruned(g)))
+        form = canonical_form(g)
+        keys.add((form, canonical_form_unpruned(g)))
+        digest.update(f"{form}\n".encode())
     assert len({new for new, _ in keys}) == len({old for _, old in keys}) == len(keys) == 156
+    rng = random.Random(2014)
+    for _ in range(1000):
+        n = rng.randint(7, 12)
+        density = rng.random()
+        g = SimpleGraph(n, [e for e in all_pairs(n) if rng.random() < density])
+        digest.update(f"{canonical_form(g)}\n".encode())
+    assert digest.hexdigest() == "4b1dc8e60cfd153f6c09c670df31210b245b10a01a92cff0e07e10b4c64df95f"
 
 
 def test_canonical_form_separates_non_isomorphic():
@@ -427,6 +440,11 @@ def test_canonical_form_separates_non_isomorphic():
     assert canonical_form(hexagon) != canonical_form(two_triangles)
     assert not is_isomorphic(hexagon, two_triangles)
     assert is_isomorphic(cycle(5), relabel(cycle(5), {1: 3, 2: 5, 3: 1, 4: 2, 5: 4}))
+    # the form holds no vertex count, so it separates graphs only on the
+    # same number of vertices: an isolated vertex more leaves it unchanged
+    one_edge, one_edge_and_isolated = SimpleGraph(3, [(1, 2)]), SimpleGraph(4, [(1, 2)])
+    assert canonical_form(one_edge) == canonical_form(one_edge_and_isolated) == ((1, 2),)
+    assert not is_isomorphic(one_edge, one_edge_and_isolated)
 
 
 def test_canonical_form_permutation_cap():
@@ -435,6 +453,14 @@ def test_canonical_form_permutation_cap():
     with pytest.raises(CapExceededError, match="cap of 32 nodes"):
         canonical_form(MATCHING_10, perm_cap=32)
     canonical_form(MATCHING_10, perm_cap=100)
+    # a triangle with tails of one and two edges at two corners is
+    # discrete after refinement at the root, which is still one node
+    tailed = SimpleGraph(6, [(1, 2), (1, 3), (2, 3), (1, 4), (2, 5), (5, 6)])
+    assert canonical_form(tailed, perm_cap=1) == (
+        (1, 2), (1, 4), (1, 6), (2, 3), (2, 4), (3, 5),
+    )
+    with pytest.raises(CapExceededError, match="cap of 0 nodes"):
+        canonical_form(tailed, perm_cap=0)
 
 
 @pytest.mark.parametrize(
