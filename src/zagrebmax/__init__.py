@@ -22,7 +22,6 @@ from .graphs import (
     is_connected,
     is_isomorphic,
     parse_edge_list,
-    relabel,
     second_zagreb,
     serialize_edge_list,
     to_dot,

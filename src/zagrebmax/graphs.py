@@ -9,7 +9,7 @@ is the only graph file format.
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .errors import CapExceededError, DomainError, ParseError
 from .sequences import DegreeSequence, _as_int, _is_digits
@@ -35,7 +35,7 @@ class SimpleGraph:
             raise DomainError("graph needs at least one vertex")
         try:
             deg = [0] * (n + 1)
-        except MemoryError:
+        except (MemoryError, OverflowError):
             raise CapExceededError(
                 f"n = {n}: the graph's degree counts do not fit in memory"
             ) from None
@@ -178,15 +178,6 @@ def is_connected(g: SimpleGraph) -> bool:
     return -1 not in _bfs_layers(g, 1)[1:]
 
 
-def relabel(g: SimpleGraph, mapping: Mapping[int, int]) -> SimpleGraph:
-    """Apply a vertex permutation given as {old: new}."""
-    old = sorted(_as_int(v, "vertex") for v in mapping)
-    new = sorted(_as_int(v, "vertex") for v in mapping.values())
-    if old != list(range(1, g.n + 1)) or new != old:
-        raise DomainError("mapping must be a permutation of 1..n")
-    return SimpleGraph(g.n, ((mapping[u], mapping[v]) for u, v in g.edges))
-
-
 def _int_pair(line: str, what: str) -> tuple[int, int]:
     """The two decimal integers of a header or edge line."""
     parts = line.split()
@@ -254,10 +245,9 @@ def _refine(
     agree across isomorphic colored graphs) and keep the order of the cells
     they split.
 
-    ``canonical_form`` takes the first round itself and hands on its
-    result: at the root the degree classes, in a child the split of each
-    cell by adjacency to the individualized vertex, and in a child only when
-    that split split a cell."""
+    ``canonical_form`` starts it from one of two colorings: the degree
+    classes at the root, and in a child the parent's coloring with one
+    vertex individualized."""
     n = g.n
     edges = g.edges
     top = weight[n]
@@ -308,13 +298,13 @@ def canonical_form(
     isomorphic graphs; the least relabeled edge list over those leaves is
     the form.
 
-    The root's refinement starts from the degree classes, highest degree
-    first, which is refinement's first round from one color.  A node's
-    coloring is equitable, so individualizing v splits each cell of a child
-    only by adjacency to v: v's non-neighbors keep the lower id and its
-    neighbors take the next.  That first round is read off v's adjacency
-    bitmask, and ``_refine`` runs only if it split a cell; if none split,
-    the child is already equitable and is not refined at all.
+    One routine, ``_refine``, does all the refinement.  At the root it
+    starts from the degree classes, highest degree first, which is its
+    first round from one color.  In a child it starts from the parent's
+    coloring with v individualized.  That coloring is equitable, so a cell
+    can split only by adjacency to v; when the cells of v's neighbors hold
+    no other vertex, none splits, and the child is searched as it stands,
+    without refinement.
 
     The search skips children that an automorphism maps onto a child
     already explored.  At a node whose individualized path is P, a child is
@@ -424,9 +414,11 @@ def canonical_form(
                 if orbit[v] in taken:
                     continue
             taken.add(orbit[v])
-            # refinement's first round: the coloring is equitable, so it
-            # splits a cell only by adjacency to v, and no cell if the cells
-            # of v's neighbors hold no other vertex
+            child = shifted.copy()
+            child[v] = target
+            # the coloring is equitable, so individualizing v can split a
+            # cell only by adjacency to v, and none if the cells of v's
+            # neighbors hold no other vertex
             nv = masks[v]
             touched = set()  # the cells of v's neighbors
             rest = nv
@@ -436,19 +428,9 @@ def canonical_form(
                 rest ^= low
             if sum(map(sizes.__getitem__, touched)) == nv.bit_count():
                 # the child is equitable: no refinement
-                child = shifted.copy()
-                child[v] = target
                 resume = search(child, ncolors + 1, path + [v])
             else:
-                # each cell splits into v's non-neighbors, then its neighbors
-                keys = [2 * c + (nv >> u & 1) for u, c in enumerate(shifted)]
-                keys[v] = 2 * target
-                del keys[0]
-                distinct = set(keys)
-                rank = dict(zip(sorted(distinct), range(len(distinct))))
-                first = [0]
-                first.extend(map(rank.__getitem__, keys))
-                resume = search(*_refine(g, first, len(distinct), weight), path + [v])
+                resume = search(*_refine(g, child, ncolors + 1, weight), path + [v])
             if resume < len(path):
                 return resume
         return len(path)

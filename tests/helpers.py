@@ -10,7 +10,7 @@ optima with the same index.
 import math
 from dataclasses import dataclass, field
 from itertools import accumulate, combinations, permutations
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from zagrebmax import (
     CapExceededError,
@@ -66,6 +66,15 @@ THIRTEEN_VERTEX_ALTERNATE = SimpleGraph(
 
 def all_pairs(n):
     return list(combinations(range(1, n + 1), 2))
+
+
+def relabel(g: SimpleGraph, mapping: Mapping[int, int]) -> SimpleGraph:
+    """Apply a vertex permutation given as {old: new}."""
+    old = sorted(_as_int(v, "vertex") for v in mapping)
+    new = sorted(_as_int(v, "vertex") for v in mapping.values())
+    if old != list(range(1, g.n + 1)) or new != old:
+        raise DomainError("mapping must be a permutation of 1..n")
+    return SimpleGraph(g.n, ((mapping[u], mapping[v]) for u, v in g.edges))
 
 
 def brute_force_buckets(n):

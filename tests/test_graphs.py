@@ -21,7 +21,6 @@ from zagrebmax import (
     is_connected,
     is_isomorphic,
     parse_edge_list,
-    relabel,
     second_zagreb,
     serialize_edge_list,
     to_dot,
@@ -34,6 +33,7 @@ from helpers import (
     canonical_form_by_permutations,
     canonical_form_unpruned,
     outcome,
+    relabel,
 )
 
 
@@ -161,18 +161,22 @@ def test_constructor_matches_element_by_element_reference(case):
 
 
 @pytest.mark.parametrize(
-    "call",
-    [lambda: SimpleGraph(2**60, []), lambda: parse_edge_list("1152921504606846976 0\n")],
-    ids=["constructor", "edge-list"],
+    "call,n",
+    [
+        (lambda: SimpleGraph(2**60, []), 2**60),
+        (lambda: parse_edge_list("1152921504606846976 0\n"), 2**60),
+        (lambda: SimpleGraph(2**64, []), 2**64),
+        (lambda: parse_edge_list("18446744073709551616 0\n"), 2**64),
+    ],
+    ids=["constructor", "edge-list", "constructor-past-maxsize", "edge-list-past-maxsize"],
 )
-def test_vertex_count_whose_degree_counts_cannot_be_held_is_a_cap_error(call):
+def test_vertex_count_whose_degree_counts_cannot_be_held_is_a_cap_error(call, n):
     # on 64-bit CPython a list of 2^60 + 1 counts fails its size check
-    # before any allocation
+    # before any allocation, and a length past sys.maxsize cannot even be
+    # asked for (OverflowError)
     with pytest.raises(CapExceededError) as info:
         call()
-    assert str(info.value) == (
-        "n = 1152921504606846976: the graph's degree counts do not fit in memory"
-    )
+    assert str(info.value) == f"n = {n}: the graph's degree counts do not fit in memory"
 
 
 def test_queries_reject_labels_outside_the_graph():
@@ -431,6 +435,20 @@ def test_canonical_form_partitions_like_the_unpruned_search_at_n6():
         g = SimpleGraph(n, [e for e in all_pairs(n) if rng.random() < density])
         digest.update(f"{canonical_form(g)}\n".encode())
     assert digest.hexdigest() == "4b1dc8e60cfd153f6c09c670df31210b245b10a01a92cff0e07e10b4c64df95f"
+
+
+def test_canonical_form_pins_the_forms_of_symmetric_families():
+    # symmetric graphs whose children split cells (the matching, Petersen,
+    # the rook graph, the cycle) or split none (K_8 and the stars, up to
+    # 800 levels deep): the digest pins their forms, so a change to how a
+    # child is refined must return the same edge tuples
+    digest = hashlib.sha256()
+    for g in (
+        MATCHING_10, PETERSEN, ROOK_4X4, cycle(12), complete(8),
+        *(SimpleGraph(k + 1, [(1, v) for v in range(2, k + 2)]) for k in (30, 400, 800)),
+    ):
+        digest.update(f"{canonical_form(g)}\n".encode())
+    assert digest.hexdigest() == "43b615b6de026605de281a46b2c5f51e330944e683e8532fecce85fa60ca12cf"
 
 
 def test_canonical_form_separates_non_isomorphic():
