@@ -32,6 +32,12 @@ in the same order: the branch-and-bound still ends at the lexicographically
 smallest maximum, and the reduced enumeration still yields the first
 labeled representative of each class.  Plain enumeration counts labeled
 graphs and walks every one.
+
+The reduced enumeration applies the same transpositions to whole leaves: a
+leaf that swapping two vertices of equal degree maps to a lexicographically
+smaller edge list is not the first of its class and is dropped before any
+graph is built.  The rest are told apart by canonical form only where two
+of them share a joint degree matrix, so a class met once costs no form.
 """
 
 from __future__ import annotations
@@ -174,7 +180,7 @@ class _Walk:
         # from the largest since the stub count is even
         res, targets = self.res, self.targets
         end = self.leaf_start
-        owed = sum(res[end:])
+        owed = sum(res[end:]) if end < len(res) else 0
         total = carry = 0
         for v in range(end - 1, start - 1, -1):
             r = res[v]
@@ -290,26 +296,81 @@ def enumerate_realizations(
     With ``isomorphism_reduce`` only the first representative of each
     isomorphism class is yielded.  Every class has a labeling with
     d(v_i) = d_i, the first assignment walked, so only that assignment is
-    walked, with twin pruning (see ``_Walk``), and each graph it
-    yields is canonicalized; the later assignments would yield only
-    repeats.  More than ``cap`` vertices raise ``CapExceededError``; only
-    the CLI reads ``ZAGREBMAX_ORACLE_CAP``."""
+    walked, with twin pruning (see ``_Walk``); the later assignments would
+    yield only repeats.  The walk is in lexicographic order, so the first
+    representative of a class is its lexicographically smallest labeling on
+    that assignment.  A leaf that a transposition of two equal-degree
+    vertices maps to a smaller edge list is therefore not first, and is
+    dropped before any graph is built (``_swap_is_smaller``).  The others
+    are bucketed by their joint degree matrix, the sorted (d(u), d(v)) of
+    their edges, which isomorphic graphs share: the first graph of a bucket
+    is new, and canonical forms are taken only once a bucket holds a second.
+    More than ``cap`` vertices raise ``CapExceededError``; only the CLI
+    reads ``ZAGREBMAX_ORACLE_CAP``."""
     _check_cap(seq, cap)
     if not is_graphic(seq):
         raise DomainError(f"({seq.to_text()}) is not graphic")
-    seen: set = set()
-    assignments = (
-        [seq.degrees] if isomorphism_reduce else _distinct_assignments(seq.degrees)
-    )
-    for assignment in assignments:
-        for edges in _Walk(assignment, connected_only, twins=isomorphism_reduce):
-            g = SimpleGraph(seq.n, [(u + 1, v + 1) for u, v in edges])
-            if isomorphism_reduce:
-                key = canonical_form(g)
-                if key in seen:
-                    continue
-                seen.add(key)
+    n, targets = seq.n, seq.degrees
+    if not isomorphism_reduce:
+        for assignment in _distinct_assignments(targets):
+            for edges in _Walk(assignment, connected_only):
+                yield SimpleGraph(n, [(u + 1, v + 1) for u, v in edges])
+        return
+    swaps = _swap_pairs(targets)
+    # joint degree matrix -> the one graph yielded with it, or the canonical
+    # forms of all of them once a second graph has it
+    lone: dict[tuple, SimpleGraph] = {}
+    forms: dict[tuple, set] = {}
+    walk = _Walk(targets, connected_only, twins=True)
+    for edges in walk:
+        if _swap_is_smaller(walk.adj, swaps):
+            continue
+        g = SimpleGraph(n, [(u + 1, v + 1) for u, v in edges])
+        key = tuple(sorted([(targets[u], targets[v]) for u, v in edges]))
+        seen = forms.get(key)
+        if seen is None:
+            if key not in lone:
+                lone[key] = g
+                yield g
+                continue
+            seen = forms[key] = {canonical_form(lone.pop(key))}
+        form = canonical_form(g)
+        if form not in seen:
+            seen.add(form)
             yield g
+
+
+def _swap_pairs(targets: Sequence[int]) -> list[tuple[int, int, int]]:
+    """(j, k, mask) for each pair j < k of equal targets, where mask clears
+    bits j and k."""
+    return [
+        (j, k, ~(1 << j | 1 << k))
+        for j, k in combinations(range(len(targets)), 2)
+        if targets[j] == targets[k]
+    ]
+
+
+def _swap_is_smaller(adj: Sequence[int], swaps: list[tuple[int, int, int]]) -> bool:
+    """Whether a transposition (j k) from ``swaps`` maps the graph with
+    adjacency bitmasks ``adj`` to a lexicographically smaller sorted edge
+    list.
+
+    Compare the rows u = 0, 1, ... of the graph and of its image (each row
+    u lists u's neighbours above u); the first row that differs decides,
+    and the list holding that row's lowest differing vertex is smaller.  A
+    row u < j differs only where u is adjacent to exactly one of j and k,
+    and then the image is smaller when u is k's neighbour, whose edge the
+    image moves to j.  If no u < j is, row j of the image is k's row with j
+    taken for k, and it differs from j's row at each vertex above j, other
+    than k, adjacent to exactly one of them; again the image is smaller when
+    the lowest is k's neighbour.  So the lowest vertex other than j and k
+    adjacent to exactly one of them decides, and with none the
+    transposition is an automorphism."""
+    for j, k, mask in swaps:
+        x = (adj[j] ^ adj[k]) & mask
+        if x & -x & adj[k]:
+            return True
+    return False
 
 
 def search_max_m2(seq: DegreeSequence, cap: int = DEFAULT_CAP) -> OracleResult:

@@ -20,6 +20,7 @@ from zagrebmax import (
     apply_edge_swap,
     apply_neighbor_transfer,
     build_glued_cycles_with_paths,
+    canonical_form,
     degree_sequence_of,
     enumerate_realizations,
     hill_climb,
@@ -99,13 +100,13 @@ def test_enumeration_isomorphism_reduction():
     seq = DegreeSequence((2, 2, 1, 1))
     reduced = list(enumerate_realizations(seq, isomorphism_reduce=True))
     assert len(reduced) == 1
-    # (3,3,2,2,2,2): a theta, a path-joined pair, and their one-cycle kin
+    # (3,3,2,2,2,2): the three thetas (paths of 3, 1, 0 / 2, 2, 0 / 2, 1, 1
+    # inner vertices) and two triangles joined by an edge
     classes = list(
         enumerate_realizations(DegreeSequence((3, 3, 2, 2, 2, 2)), isomorphism_reduce=True)
     )
-    assert 1 < len(classes) < 54
-    forms = {tuple(g.edges) for g in classes}
-    assert len(forms) == len(classes)
+    assert len(classes) == 4
+    assert len({canonical_form(g) for g in classes}) == 4
 
 
 def test_isomorphism_reduction_matches_the_walk_over_all_assignments():
@@ -142,6 +143,75 @@ def test_twin_pruned_iso_reduction_matches_the_unpruned_walk():
                 )
             ]
             assert got == iso_reduced_unpruned(seq, connected_only=False), degrees
+
+
+@pytest.mark.slow
+def test_twin_pruned_iso_reduction_matches_the_unpruned_walk_at_n8():
+    # every connected class with n = 8 and excess -1..4; the unpruned
+    # reference takes about 17 s
+    checked = classes = 0
+    for c in range(-1, 5):
+        for seq in connected_realizable_sequences(8, c):
+            got = [g.edges for g in enumerate_realizations(seq, isomorphism_reduce=True)]
+            assert got == iso_reduced_unpruned(seq), seq.degrees
+            checked += 1
+            classes += len(got)
+    assert (checked, classes) == (203, 2817)
+
+
+def _transposed(edges, j, k):
+    swap = {j: k, k: j}
+    return tuple(sorted(tuple(sorted((swap.get(u, u), swap.get(v, v)))) for u, v in edges))
+
+
+def test_swap_test_drops_only_leaves_that_are_not_first_up_to_n7():
+    # at every leaf of the twin walk, the bitmask test says whether a
+    # transposition of two equal targets sorts the edge list lower, and no
+    # leaf it drops is the first of its class by canonical form
+    leaves = dropped = 0
+    for n in range(2, 8):
+        for c in range(-1, 5):
+            for seq in connected_realizable_sequences(n, c):
+                targets = seq.degrees
+                pairs = [(j, k) for j, k in combinations(range(n), 2) if targets[j] == targets[k]]
+                swaps = orc._swap_pairs(targets)
+                seen = set()
+                walk = orc._Walk(targets, True, twins=True)
+                for edges in walk:
+                    drop = orc._swap_is_smaller(walk.adj, swaps)
+                    smaller = any(_transposed(edges, j, k) < edges for j, k in pairs)
+                    assert drop == smaller, (targets, edges)
+                    form = canonical_form(SimpleGraph(n, [(u + 1, v + 1) for u, v in edges]))
+                    assert not drop or form in seen, (targets, edges)
+                    seen.add(form)
+                    leaves += 1
+                    dropped += drop
+    assert (leaves, dropped) == (1252, 579)
+
+
+def test_iso_reduction_takes_forms_only_where_a_class_can_repeat(monkeypatch):
+    # the n = 6, 7 sequences with excess -1..3: of 854 twin-walk leaves, 472
+    # pass the swap test and are built, and 255 canonical forms separate
+    # their 430 classes
+    calls = {"forms": 0, "graphs": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(orc, "canonical_form", counted("forms", orc.canonical_form))
+    monkeypatch.setattr(orc, "SimpleGraph", counted("graphs", orc.SimpleGraph))
+    classes = sum(
+        1
+        for n in (6, 7)
+        for c in range(-1, 4)
+        for seq in connected_realizable_sequences(n, c)
+        for _ in enumerate_realizations(seq, isomorphism_reduce=True)
+    )
+    assert (classes, calls["graphs"], calls["forms"]) == (430, 472, 255)
 
 
 def test_twin_combinations_are_the_prefix_respecting_subsets():
