@@ -29,8 +29,7 @@ class SimpleGraph:
     __slots__ = ("n", "edges", "_deg", "_adj")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
-        if type(n) is not int:
-            n = _as_int(n, "vertex count")
+        n = _as_int(n, "vertex count")
         if n < 1:
             raise DomainError("graph needs at least one vertex")
         try:
@@ -245,9 +244,10 @@ def _refine(
     agree across isomorphic colored graphs) and keep the order of the cells
     they split.
 
-    ``canonical_form`` starts it from one of two colorings: the degree
-    classes at the root, and in a child the parent's coloring with one
-    vertex individualized."""
+    ``canonical_form`` starts it from one of two colorings: one color at
+    the root, whose first round ranks the degree classes, highest degree
+    first, and in a child the parent's coloring with one vertex
+    individualized."""
     n = g.n
     edges = g.edges
     top = weight[n]
@@ -299,9 +299,9 @@ def canonical_form(
     the form.
 
     One routine, ``_refine``, does all the refinement.  At the root it
-    starts from the degree classes, highest degree first, which is its
-    first round from one color.  In a child it starts from the parent's
-    coloring with v individualized.  That coloring is equitable, so a cell
+    starts from one color, so its first round ranks the degree classes,
+    highest degree first.  In a child it starts from the parent's coloring
+    with v individualized.  That coloring is equitable, so a cell
     can split only by adjacency to v; when the cells of v's neighbors hold
     no other vertex, none splits, and the child is searched as it stands,
     without refinement.
@@ -315,8 +315,9 @@ def canonical_form(
 
     - twins: swapping two vertices with equal open or equal closed
       neighborhoods is an automorphism, and it fixes the path when neither
-      is on it, so every vertex of a cell starts in the orbit of its twin
-      class's label and only one vertex of each class is individualized;
+      is on it, so the twin classes are labeled for every graph before the
+      search, every vertex of a cell starts in the orbit of its twin
+      class's label, and only one vertex of each class is individualized;
     - equal leaves: a leaf whose relabeled edge list equals the best one so
       far maps onto the best leaf by an automorphism.  That automorphism
       maps the leaf's path onto the best leaf's path, so the search also
@@ -330,17 +331,12 @@ def canonical_form(
     n = g.n
     edges = g.edges
     weight = [(n + 1) ** c for c in range(n + 1)]
-    deg = g._deg
-    rank = dict(zip(sorted(set(deg[1:]), reverse=True), range(n)))
-    colors = [0]
-    colors.extend(map(rank.__getitem__, deg[1:]))
-    colors, ncolors = _refine(g, colors, len(rank), weight)
-    if ncolors < n:
-        masks = [0] * (n + 1)  # neighborhoods as bitmasks
-        for u, v in edges:
-            masks[u] |= 1 << v
-            masks[v] |= 1 << u
-        twin = _twin_classes(masks)
+    colors, ncolors = _refine(g, [0] * (n + 1), 1, weight)
+    masks = [0] * (n + 1)  # neighborhoods as bitmasks
+    for u, v in edges:
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
+    twin = _twin_classes(masks)
     # automorphisms read off equal leaves, as vertex maps (entry 0 unused)
     autos: list[list[int]] = []
     best: list[int] | None = None  # least edge keys u * n + v over the leaves
@@ -399,20 +395,19 @@ def canonical_form(
         for v in cell:
             if orbit[v] in taken:
                 continue
-            if absorbed < len(autos):
-                for perm in autos[absorbed:]:
-                    if all(perm[p] == p for p in path):
-                        for u in cell:
-                            a, b = orbit[u], orbit[perm[u]]
-                            if a != b:
-                                for w in cell:
-                                    if orbit[w] == b:
-                                        orbit[w] = a
-                                if b in taken:
-                                    taken.add(a)
-                absorbed = len(autos)
-                if orbit[v] in taken:
-                    continue
+            for perm in autos[absorbed:]:
+                if all(perm[p] == p for p in path):
+                    for u in cell:
+                        a, b = orbit[u], orbit[perm[u]]
+                        if a != b:
+                            for w in cell:
+                                if orbit[w] == b:
+                                    orbit[w] = a
+                            if b in taken:
+                                taken.add(a)
+            absorbed = len(autos)
+            if orbit[v] in taken:
+                continue
             taken.add(orbit[v])
             child = shifted.copy()
             child[v] = target

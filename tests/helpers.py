@@ -28,7 +28,6 @@ from zagrebmax import (
     MajorizationOrder,
 )
 from zagrebmax.constructor import ConstructionTrace
-from zagrebmax.oracle import _distinct_assignments
 from zagrebmax.sequences import (
     _as_int,
     check_optimality_conditions,
@@ -553,11 +552,11 @@ def iter_edges_by_combinations(
 
 def iso_reduced_over_all_assignments(seq, connected_only=True):
     """Reference isomorphism-reduced enumeration: walk every distinct degree
-    assignment and keep the first graph of each class by the reference
-    canonical form."""
+    assignment, in descending lexicographic order, and keep the first graph
+    of each class by the reference canonical form."""
     seen = set()
     out = []
-    for assignment in _distinct_assignments(seq.degrees):
+    for assignment in sorted(set(permutations(seq.degrees)), reverse=True):
         for edges in iter_edges_by_combinations(assignment, connected_only):
             g = SimpleGraph(seq.n, [(u + 1, v + 1) for u, v in edges])
             key = canonical_form_by_permutations(g)

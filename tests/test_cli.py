@@ -20,6 +20,13 @@ from zagrebmax import sequences as sq
 from helpers import SEVEN_VERTEX_GREEDY
 
 
+# CPython's digit limit for int() on a decimal string (0 where it has none)
+_INT_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+needs_int_digit_limit = pytest.mark.skipif(
+    not _INT_DIGIT_LIMIT, reason="int() has no digit limit on this Python"
+)
+
+
 def run_cli(*args, env_extra=None):
     env = dict(os.environ)
     if env_extra:
@@ -185,6 +192,25 @@ def test_m2_parse_error(tmp_path):
     # "1_0" would read as 10 under int(); the format takes decimal digits only
     path.write_text("10 1\n1_0 1\n")
     assert run_cli("m2", str(path)).returncode == 2
+
+
+@needs_int_digit_limit
+@pytest.mark.parametrize(
+    "what, line, text",
+    [("header", "{} 1", "{}\n1 2\n"), ("edge line", "1 {}", "2 1\n{}\n")],
+    ids=["header", "edge-line"],
+)
+def test_graph_file_field_past_the_int_digit_limit_is_a_parse_error(
+    what, line, text, tmp_path, capsys
+):
+    # a run of digits that int() refuses names its line, not a ValueError
+    line = line.format("1" * (_INT_DIGIT_LIMIT + 1))
+    path = tmp_path / "big.edges"
+    path.write_text(text.format(line))
+    code, out, err = _main_in_process(("m2", str(path)), capsys)
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1
+    assert json.loads(err) == {"error": f"bad {what} {line!r}; integer too large"}
 
 
 @pytest.mark.parametrize("command", ["m2", "improve"])
@@ -426,6 +452,29 @@ def test_sweep_n_takes_digits_only(raw, capsys):
     code, out, err = _main_in_process(("sweep", "--n", raw, "--excess", "0"), capsys)
     assert (code, out) == (2, "")
     assert f"argument --n: {raw!r} is not a run of decimal digits" in err
+
+
+@needs_int_digit_limit
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (("oracle", "2,2,2", "--cap"), "argument --cap"),
+        (("sweep", "--excess", "0", "--n"), "argument --n"),
+        (("oracle", "2,2,2"), "ZAGREBMAX_ORACLE_CAP"),
+    ],
+    ids=["cap", "n", "env"],
+)
+def test_digits_past_the_int_digit_limit_are_refused(argv, name, monkeypatch, capsys):
+    # a run of digits that int() refuses is an error naming the option or
+    # the variable (exit 2), not a ValueError traceback
+    big = "1" * (_INT_DIGIT_LIMIT + 1)
+    if name.startswith("argument"):
+        argv = (*argv, big)
+    else:
+        monkeypatch.setenv(name, big)
+    code, out, err = _main_in_process(argv, capsys)
+    assert (code, out) == (2, "")
+    assert name in err
 
 
 @pytest.mark.parametrize("raw", [" -1", "-1 ", "+1", "1_0", "-１", "－1", "0x1", "-"])

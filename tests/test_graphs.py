@@ -495,8 +495,32 @@ def test_canonical_form_permutation_cap():
             25,
         ),
         (cycle(30), 6),
+        (PETERSEN, 10),
+        (ROOK_4X4, 15),
+        (CUBIC_TEN, 12),
+        (MATCHING_10, 65),
+        (  # the cube Q3: 0..7 (shifted to 1..8) adjacent when one bit apart
+            SimpleGraph(
+                8, [(u + 1, (u ^ 1 << b) + 1) for u in range(8) for b in range(3) if u < u ^ 1 << b]
+            ),
+            10,
+        ),
+        (SimpleGraph(6, [(u, v) for u in (1, 2, 3) for v in (4, 5, 6)]), 9),
+        (  # the triangular prism
+            SimpleGraph(
+                6, [(1, 2), (1, 3), (2, 3), (4, 5), (4, 6), (5, 6), (1, 4), (2, 5), (3, 6)]
+            ),
+            8,
+        ),
+        (cycle(12), 6),
+        (complete(8), 8),
+        (SimpleGraph(401, [(1, v) for v in range(2, 402)]), 400),
     ],
-    ids=["matching20", "star30", "K14", "K444", "C30"],
+    ids=[
+        "matching20", "star30", "K14", "K444", "C30",
+        "Petersen", "rook4x4", "cubic10", "matching10", "Q3", "K33", "prism",
+        "C12", "K8", "star400",
+    ],
 )
 def test_canonical_form_search_tree_size(g, nodes):
     # the exact number of nodes the pruned search enters, so a change to

@@ -45,11 +45,13 @@ def test_parse_comma_form():
     seq = DegreeSequence.parse("4,4,3,3,2,1,1")
     assert seq.degrees == (4, 4, 3, 3, 2, 1, 1)
     assert seq.n == 7 and not seq.resorted
+    assert len(seq) == seq.n and tuple(seq) == seq.degrees
 
 
 def test_parse_run_length_form():
     seq = DegreeSequence.parse("4^5,1^8")
     assert seq.degrees == (4,) * 5 + (1,) * 8
+    assert len(seq) == seq.n == 13 and tuple(seq) == seq.degrees
     assert DegreeSequence.parse("4^2,3,1^3").degrees == (4, 4, 3, 1, 1, 1)
 
 
