@@ -7,13 +7,19 @@ disjoint paths, and the glued pair with pendant paths at the shared
 vertex.  ``bicyclic_max_m2`` dispatches every bicyclic sequence to a
 closed form or, when d2 >= 3 and a leaf exists, to the layered
 construction.
+
+Each builder checks its parameters and hands ``SimpleGraph`` a lazy
+iterator of edges read off its vertex walk, so the graph holds the only
+list of them.  ``SimpleGraph`` allocates its degree counts before it reads
+an edge, so it is the one guard on the order: an order it cannot hold
+raises ``CapExceededError`` before any edge is made.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, repeat
-from typing import Sequence
+from itertools import accumulate, chain, pairwise, repeat
+from typing import Iterator, Sequence
 
 from .constructor import construct_extremal
 from .errors import DomainError
@@ -60,22 +66,20 @@ class BicyclicMaxResult:
         return _NOTATION.get(self.family, "layered-bfs").format(*p)
 
 
-def _walk_edges(walk: list[int]) -> list[tuple[int, int]]:
-    """The edges between consecutive vertices of ``walk``."""
-    return list(zip(walk, walk[1:]))
+def _glued_cycles(p: int, q: int) -> Iterator[tuple[int, int]]:
+    """Edges of C_p and C_q sharing exactly the vertex 1, on 1..p+q-1.
 
-
-def _glued_cycle_edges(p: int, q: int) -> list[tuple[int, int]]:
-    """Edges of C_p and C_q sharing exactly the vertex 1, on 1..p+q-1."""
+    The lengths are checked at the call; the edges are then read lazily off
+    the closed walk round C_p and C_q, so the caller keeps no copy of them."""
     if p < 3 or q < 3:
         raise DomainError(f"cycle lengths must be >= 3, got ({p},{q})")
-    return _walk_edges([*range(1, p + 1), 1, *range(p + 1, p + q), 1])
+    return pairwise(chain(range(1, p + 1), (1,), range(p + 1, p + q), (1,)))
 
 
 def build_vertex_glued_cycles(p: int, q: int) -> SimpleGraph:
     """Two cycles C_p and C_q sharing exactly the vertex 1; order p+q-1."""
     p, q = _as_int(p, "cycle length"), _as_int(q, "cycle length")
-    return SimpleGraph(p + q - 1, _glued_cycle_edges(p, q))
+    return SimpleGraph(p + q - 1, _glued_cycles(p, q))
 
 
 def build_path_joined_cycles(p: int, r: int, q: int) -> SimpleGraph:
@@ -87,9 +91,8 @@ def build_path_joined_cycles(p: int, r: int, q: int) -> SimpleGraph:
     if r < 1:
         raise DomainError(f"joining path length must be >= 1, got {r}")
     n = p + q + r - 1
-    # round C_p from 1, along the path to its far end, round C_q from there
-    far = p + r
-    return SimpleGraph(n, _walk_edges([*range(1, p + 1), 1, *range(p + 1, n + 1), far]))
+    # round C_p from 1, along the path to its far end p+r, round C_q from there
+    return SimpleGraph(n, pairwise(chain(range(1, p + 1), (1,), range(p + 1, n + 1), (p + r,))))
 
 
 def build_theta(k: int, l: int, m: int) -> SimpleGraph:
@@ -102,9 +105,8 @@ def build_theta(k: int, l: int, m: int) -> SimpleGraph:
         raise DomainError(f"two unit paths would form a multi-edge: ({k},{l},{m})")
     n = k + l + m - 1
     # out from 1 to 2 along the k-path, back along the l-path, out along the m-path
-    walk = [1, *range(3, k + 2), 2, *reversed(range(k + 2, k + l + 1))]
-    walk += [1, *range(k + l + 1, n + 1), 2]
-    return SimpleGraph(n, _walk_edges(walk))
+    loop = chain((1,), range(3, k + 2), (2,), reversed(range(k + 2, k + l + 1)))
+    return SimpleGraph(n, pairwise(chain(loop, (1,), range(k + l + 1, n + 1), (2,))))
 
 
 def build_glued_cycles_with_paths(
@@ -118,15 +120,13 @@ def build_glued_cycles_with_paths(
         raise DomainError("need at least one pendant path")
     if any(x < 1 for x in lengths):
         raise DomainError(f"path lengths must be >= 1, got {lengths}")
-    edges = _glued_cycle_edges(p, q)
     # path j runs over the labels firsts[j] .. firsts[j+1]-1, hung from 1 by
     # its first; (v, v+1) lies inside a path unless v+1 starts the next one
     firsts = list(accumulate(lengths, initial=p + q))
     n = firsts[-1] - 1
     starts = set(firsts)
-    edges += zip(repeat(1), firsts[:-1])
-    edges += [(v, v + 1) for v in range(p + q, n) if v + 1 not in starts]
-    return SimpleGraph(n, edges)
+    inner = ((v, v + 1) for v in range(p + q, n) if v + 1 not in starts)
+    return SimpleGraph(n, chain(_glued_cycles(p, q), zip(repeat(1), firsts[:-1]), inner))
 
 
 def bicyclic_max_m2(seq: DegreeSequence) -> BicyclicMaxResult:

@@ -49,7 +49,9 @@ def construct_extremal(seq: DegreeSequence) -> ConstructionTrace:
     (ii) and (iv) and, when c >= 0, have d_{c+3} >= 2 (no apex vertex is a
     leaf); any other sequence raises before an edge is placed.  A violated
     condition (iii) is tolerated with a warning: the construction is still
-    well-defined there, only its extremality guarantee is lost.
+    well-defined there, only its extremality guarantee is lost.  The apex
+    and parent edges go to ``SimpleGraph`` as one lazy iterator, so the
+    graph holds the only list of them.
     """
     if not is_connected_realizable(seq):
         raise DomainError(f"({seq.to_text()}) has no connected realization")
@@ -89,8 +91,7 @@ def construct_extremal(seq: DegreeSequence) -> ConstructionTrace:
     for p in parent:
         layer.append(layer[p] + 1)
     triangles = tuple((1, 2, j) for j in range(3, c + 4))
-    edges = [(2, j) for j in range(3, c + 4)]
-    edges += zip(parent, range(2, n + 1))
+    edges = chain(zip(repeat(2), range(3, c + 4)), zip(parent, range(2, n + 1)))
 
     return ConstructionTrace(
         graph=SimpleGraph(n, edges),

@@ -18,10 +18,12 @@ from .sequences import DegreeSequence, _as_int, _is_digits
 class SimpleGraph:
     """Undirected simple graph with integer vertex labels 1..n.
 
-    The value is its vertex count and sorted edge tuple.  The edges are
-    read once, and their first fault in input order is the one raised; a
-    vertex count whose degree counts cannot be allocated is refused with
-    ``CapExceededError``.  Degrees are counted at construction; the
+    The value is its vertex count and sorted edge tuple.  The degree counts
+    are allocated before any edge is read, so a vertex count whose counts
+    cannot be allocated is refused with ``CapExceededError`` before an
+    iterator of edges is started; the builders rely on this and pass their
+    edges lazily.  The edges are read once, and their first fault in input
+    order is the one raised.  Degrees are counted at construction; the
     adjacency lists are built on first use (``_adjacency``), a cache
     behind the immutable value, so a graph that is only asked for degrees
     and edges never builds them."""

@@ -1,10 +1,14 @@
 """Tests for the bicyclic family builders and the closed-form maxima."""
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import zagrebmax
 from zagrebmax import (
     DegreeSequence,
     DomainError,
@@ -105,6 +109,52 @@ def test_pendant_path_builder_matches_per_path_reference(p, q, lengths):
     # per path
     assert outcome(lambda: build_glued_cycles_with_paths(p, q, lengths)) == outcome(
         lambda: build_glued_cycles_with_paths_reference(p, q, lengths)
+    )
+
+
+_HUGE = sys.maxsize + 1
+
+
+@pytest.mark.parametrize(
+    "call,n",
+    [
+        (f"build_vertex_glued_cycles({_HUGE}, 3)", _HUGE + 2),
+        (f"build_path_joined_cycles(3, {_HUGE}, 3)", _HUGE + 5),
+        (f"build_theta({_HUGE}, 2, 1)", _HUGE + 2),
+        (f"build_glued_cycles_with_paths(3, 3, [{sys.maxsize}])", _HUGE + 4),
+        ("build_vertex_glued_cycles(10**12, 3)", 10**12 + 2),
+        ("build_theta(10**12, 2, 1)", 10**12 + 2),
+        ("build_glued_cycles_with_paths(3, 3, [10**12])", 10**12 + 5),
+    ],
+    ids=[
+        "glued", "path-joined", "theta", "pendant-paths",
+        "glued-1e12", "theta-1e12", "pendant-paths-1e12",
+    ],
+)
+def test_builder_order_that_cannot_be_held_is_a_cap_error(call, n):
+    # SimpleGraph refuses the order before the builder's walk is read; a
+    # builder that made its walk first would raise OverflowError or run out
+    # of memory, so the child's address space is capped at 1 GiB
+    resource = pytest.importorskip("resource")
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    code = (
+        "import zagrebmax\n"
+        "try:\n"
+        f"    zagrebmax.{call}\n"
+        "except Exception as exc:\n"
+        "    print(type(exc).__name__, exc)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(zagrebmax.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        preexec_fn=cap, capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == (
+        f"CapExceededError n = {n}: the graph's degree counts do not fit in memory\n"
     )
 
 

@@ -258,6 +258,26 @@ def test_improve_applies_moves(tmp_path):
     assert len(out["result"]["moves"]) >= 1
 
 
+def test_improve_report_is_pinned_byte_for_byte(tmp_path, capsys):
+    # each move's removed and added pairs, in the orientation [v2, u2] the
+    # climb reports them, and the final edges; no golden case reads a file
+    path = tmp_path / "seven.edges"
+    path.write_text("7 7\n1 4\n1 5\n1 6\n2 5\n2 7\n3 7\n4 7\n")
+    result = (
+        '{"edges":[[1,2],[1,5],[1,7],[2,3],[4,6],[4,7],[5,7]],"final_m2":37,'
+        '"initial_m2":34,"moves":['
+        '{"added":[[1,7],[4,2]],"removed":[[1,4],[7,2]]},'
+        '{"added":[[1,2],[6,4]],"removed":[[1,6],[2,4]]},'
+        '{"added":[[2,3],[5,7]],"removed":[[2,5],[3,7]]}]}'
+    )
+    code, out, err = _main_in_process(("improve", str(path)), capsys)
+    assert (code, err) == (0, "")
+    assert out == (
+        f'{{"command":"improve","inputs":{{"graph":{json.dumps(str(path))}}},'
+        f'"result":{result},"warnings":[]}}\n'
+    )
+
+
 @pytest.mark.parametrize("command", ["m2", "improve"])
 def test_header_with_a_vertex_on_no_edge_is_refused_before_the_graph(
     command, tmp_path, capsys

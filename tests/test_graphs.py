@@ -179,6 +179,21 @@ def test_vertex_count_whose_degree_counts_cannot_be_held_is_a_cap_error(call, n)
     assert str(info.value) == f"n = {n}: the graph's degree counts do not fit in memory"
 
 
+@pytest.mark.parametrize("n", [2**60, 2**64])
+def test_degree_counts_are_allocated_before_an_edge_is_read(n):
+    # the builders hand SimpleGraph lazy edges and rely on this order: an
+    # order it cannot hold is refused before any edge is made
+    started = []
+
+    def edges():
+        started.append(True)
+        yield (1, 2)
+
+    with pytest.raises(CapExceededError, match=f"^n = {n}: "):
+        SimpleGraph(n, edges())
+    assert started == []
+
+
 def test_queries_reject_labels_outside_the_graph():
     # a negative label must not wrap round to the end of the adjacency
     # tuple (vertex 3 here), nor a label above n raise IndexError
