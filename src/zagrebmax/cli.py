@@ -51,7 +51,9 @@ def _emit(report: dict, pretty: bool) -> None:
 
 def _digits(text: str) -> int:
     """``--cap``, ``--n`` and ``ZAGREBMAX_ORACLE_CAP``: a run of ASCII digits,
-    like a graph-file field (no sign, underscore or whitespace)."""
+    like a graph-file field (no sign, underscore or whitespace).  A run past
+    CPython's digit limit for ``int()`` is refused with that limit named; the
+    message does not repeat the digits."""
     if not sq._is_digits(text):
         raise argparse.ArgumentTypeError(f"{text!r} is not a run of decimal digits")
     try:
@@ -61,25 +63,32 @@ def _digits(text: str) -> int:
 
 
 def _excess_arg(text: str) -> int:
-    """``sweep --excess``: an optional ``-`` followed by ASCII digits."""
+    """``sweep --excess``: an optional ``-`` followed by ASCII digits.  The
+    digits are read by ``_digits``, so a run past its limit is refused with
+    its message."""
     negative = text.startswith("-")
-    try:
-        value = _digits(text[1:] if negative else text)
-    except argparse.ArgumentTypeError:
+    digits = text[1:] if negative else text
+    if not sq._is_digits(digits):
         raise argparse.ArgumentTypeError(
             f"{text!r} is not an optional '-' followed by decimal digits"
-        ) from None
-    return -value if negative else value
+        )
+    return -_digits(digits) if negative else _digits(digits)
 
 
 def _cap(args) -> int:
-    """``--cap``, else ``ZAGREBMAX_ORACLE_CAP``, else the library default."""
+    """``--cap``, else ``ZAGREBMAX_ORACLE_CAP``, else the library default.
+
+    A malformed variable is a ``ParseError`` that quotes its value; a run of
+    digits past ``_digits``' limit is reported with that limit instead, and
+    without the digits."""
     if args.cap is not None:
         return args.cap
     raw = os.environ.get("ZAGREBMAX_ORACLE_CAP")
     try:
         return orc.DEFAULT_CAP if raw is None else _digits(raw)
-    except argparse.ArgumentTypeError:
+    except argparse.ArgumentTypeError as exc:
+        if sq._is_digits(raw):
+            raise ParseError(f"ZAGREBMAX_ORACLE_CAP: {exc}") from None
         raise ParseError(f"ZAGREBMAX_ORACLE_CAP={raw!r} is not an integer") from None
 
 
@@ -262,7 +271,12 @@ def cmd_sweep(args, n, excess) -> tuple[dict, list[str]]:
 @functools.cache
 def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     """The top-level parser and each command's subparser by name, built once
-    per process; parsing leaves them unchanged."""
+    per process; parsing leaves them unchanged.
+
+    ``add`` declares a command in one call: its subparser, which takes the
+    common options, and the defaults ``main`` reads back from the parse,
+    ``func`` (the ``cmd_*`` to call), ``inputs`` (the arguments ``_convert``
+    reads, in order) and ``command`` (the name the report echoes)."""
     parser = argparse.ArgumentParser(
         prog="zagrebmax",
         description="Extremal second-Zagreb-index graphs for degree sequences.",
@@ -271,61 +285,49 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     common.add_argument("--pretty", action="store_true", help="indent the JSON output")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", parents=[common], help="classify a degree sequence")
-    p.add_argument("sequence", help='e.g. "4,4,3,3,2,1,1" or "4^5,1^8"')
-    p.set_defaults(func=cmd_validate, inputs=("sequence",))
+    def add(name: str, func, inputs: tuple[str, ...], summary: str):
+        p = sub.add_parser(name, parents=[common], help=summary)
+        p.set_defaults(func=func, inputs=inputs, command=name)
+        return p
 
-    p = sub.add_parser(
-        "construct", parents=[common], help="build the layered candidate-extremal graph"
+    p = add("validate", cmd_validate, ("sequence",), "classify a degree sequence")
+    p.add_argument("sequence", help='e.g. "4,4,3,3,2,1,1" or "4^5,1^8"')
+
+    p = add(
+        "construct", cmd_construct, ("sequence",), "build the layered candidate-extremal graph"
     )
     p.add_argument("sequence")
     p.add_argument("--format", choices=["edges", "dot", "json"], default="json")
-    p.set_defaults(func=cmd_construct, inputs=("sequence",))
 
-    p = sub.add_parser("m2", parents=[common], help="second Zagreb index of a graph file")
+    p = add("m2", cmd_m2, ("graph",), "second Zagreb index of a graph file")
     p.add_argument("graph", help="edge-list file")
-    p.set_defaults(func=cmd_m2, inputs=("graph",))
 
-    p = sub.add_parser(
-        "bicyclic-max", parents=[common], help="closed-form bicyclic maximum"
-    )
+    p = add("bicyclic-max", cmd_bicyclic_max, ("sequence",), "closed-form bicyclic maximum")
     p.add_argument("sequence")
-    p.set_defaults(func=cmd_bicyclic_max, inputs=("sequence",))
 
-    p = sub.add_parser(
-        "oracle", parents=[common], help="exact maximum by branch-and-bound search"
-    )
+    p = add("oracle", cmd_oracle, ("sequence",), "exact maximum by branch-and-bound search")
     p.add_argument("sequence")
     p.add_argument("--cap", type=_digits, default=None, help="refuse n beyond this bound")
     p.add_argument(
         "--no-timing", action="store_true", help="omit timing for byte-identical output"
     )
-    p.set_defaults(func=cmd_oracle, inputs=("sequence",))
 
-    p = sub.add_parser("improve", parents=[common], help="hill-climb a graph file")
+    p = add("improve", cmd_improve, ("graph",), "hill-climb a graph file")
     p.add_argument("graph")
-    p.set_defaults(func=cmd_improve, inputs=("graph",))
 
-    p = sub.add_parser(
-        "majorize", parents=[common], help="compare two sequences in dominance order"
-    )
+    p = add("majorize", cmd_majorize, ("a", "b"), "compare two sequences in dominance order")
     p.add_argument("a", metavar="seq_a")
     p.add_argument("b", metavar="seq_b")
     p.add_argument("--chain", action="store_true", help="emit the unit-transfer chain")
-    p.set_defaults(func=cmd_majorize, inputs=("a", "b"))
 
-    p = sub.add_parser(
-        "sweep", parents=[common], help="maxima for all sequences of given order/excess"
+    p = add(
+        "sweep", cmd_sweep, ("n", "excess"), "maxima for all sequences of given order/excess"
     )
     p.add_argument("--n", type=_digits, required=True)
     p.add_argument("--excess", type=_excess_arg, required=True)
     p.add_argument("--verify-monotone", action="store_true")
     p.add_argument("--cap", type=_digits, default=None)
-    p.set_defaults(func=cmd_sweep, inputs=("n", "excess"))
-    commands = sub.choices
-    for name, p in commands.items():
-        p.set_defaults(command=name)
-    return parser, commands
+    return parser, sub.choices
 
 
 def main(argv: Optional[list[str]] = None) -> int:

@@ -445,12 +445,13 @@ def apply_neighbor_transfer(g: SimpleGraph, move: NeighborTransfer) -> SimpleGra
     )
 
 
-def _gaining_swaps(g: SimpleGraph, deg: list[int]) -> Iterator[EdgeSwap]:
+def _gaining_swaps(g: SimpleGraph) -> Iterator[EdgeSwap]:
     """Each swap of two edges of g with four distinct endpoints, a positive
     gain (d(v1)-d(u2)) * (d(v2)-d(u1)) and both new edges absent, in
     canonical order: sorted edge pairs, then the two pairings.  The labels
-    come from g's own edges, so absence is read off its adjacency directly."""
-    adj = g._adjacency()
+    come from g's own edges, so degrees and absence are read off its degree
+    counts and adjacency directly."""
+    deg, adj = g._deg, g._adjacency()
     for (a, b), (c, e) in combinations(g.edges, 2):
         if a in (c, e) or b in (c, e):
             continue
@@ -471,9 +472,8 @@ def hill_climb(g: SimpleGraph) -> tuple[SimpleGraph, list[EdgeSwap]]:
     if not is_connected(g):
         raise DomainError("hill climb requires a connected graph")
     applied: list[EdgeSwap] = []
-    deg = g.degrees()
     while True:
-        for move in _gaining_swaps(g, deg):
+        for move in _gaining_swaps(g):
             candidate = apply_edge_swap(g, move)
             if is_connected(candidate):
                 g = candidate

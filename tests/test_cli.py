@@ -476,25 +476,32 @@ def test_sweep_n_takes_digits_only(raw, capsys):
 
 @needs_int_digit_limit
 @pytest.mark.parametrize(
-    "argv, name",
+    "argv, name, sign",
     [
-        (("oracle", "2,2,2", "--cap"), "argument --cap"),
-        (("sweep", "--excess", "0", "--n"), "argument --n"),
-        (("oracle", "2,2,2"), "ZAGREBMAX_ORACLE_CAP"),
+        (("oracle", "2,2,2", "--cap"), "argument --cap", ""),
+        (("sweep", "--excess", "0", "--n"), "argument --n", ""),
+        (("sweep", "--n", "5", "--excess"), "argument --excess", ""),
+        (("sweep", "--n", "5", "--excess"), "argument --excess", "-"),
+        (("oracle", "2,2,2"), "ZAGREBMAX_ORACLE_CAP", ""),
     ],
-    ids=["cap", "n", "env"],
+    ids=["cap", "n", "excess", "negative-excess", "env"],
 )
-def test_digits_past_the_int_digit_limit_are_refused(argv, name, monkeypatch, capsys):
+def test_digits_past_the_int_digit_limit_are_refused(
+    argv, name, sign, monkeypatch, capsys
+):
     # a run of digits that int() refuses is an error naming the option or
-    # the variable (exit 2), not a ValueError traceback
+    # the variable and CPython's limit (exit 2), not a ValueError traceback,
+    # and it does not repeat the digits
     big = "1" * (_INT_DIGIT_LIMIT + 1)
     if name.startswith("argument"):
-        argv = (*argv, big)
+        argv = (*argv, sign + big)
     else:
         monkeypatch.setenv(name, big)
     code, out, err = _main_in_process(argv, capsys)
     assert (code, out) == (2, "")
     assert name in err
+    assert f"Exceeds the limit ({_INT_DIGIT_LIMIT}" in err
+    assert big not in err
 
 
 @pytest.mark.parametrize("raw", [" -1", "-1 ", "+1", "1_0", "-１", "－1", "0x1", "-"])

@@ -1,6 +1,7 @@
 """Tests for exhaustive enumeration, the branch-and-bound oracle, the
 transformation moves, and hill climbing."""
 
+import hashlib
 import random
 import re
 import sys
@@ -520,6 +521,30 @@ def test_search_matches_the_drained_walk_at_n10_n11():
     assert _assert_search_matches_the_drained_walk([11], range(-1, 5)) == 720
 
 
+@pytest.mark.parametrize(
+    "n, count, nodes, digest",
+    [
+        (8, 525, 7091, "68a6d559956dd5f80a50dfaf20d6075e22e731c850c1fa4c917041ba62040b7e"),
+        (9, 1067, 22273, "6e48d2a335da3e758e4a5e2b6b5d91ba41eccdb6ebe48fcd3eb55b2ebb0eab06"),
+        (10, 1907, 53734, "0b59ec0ba823818ea1d09fb3d5f01565df91f6f3ca4408c37f8100b168dca767"),
+    ],
+    ids=["n8", "n9", "n10"],
+)
+def test_search_tree_totals_are_pinned(n, count, nodes, digest):
+    # the size of the search tree over every sequence with c in -1..8, and a
+    # digest of its maxima and witnesses; a change to the bound, the leaf
+    # rule or the row order that moves them must update them on purpose
+    h = hashlib.sha256()
+    seen = entered = 0
+    for c in range(-1, 9):
+        for seq in connected_realizable_sequences(n, c):
+            res = search_max_m2(seq)
+            seen += 1
+            entered += res.nodes
+            h.update(f"{seq.to_text()} {res.max_m2} {res.witness.edges}\n".encode())
+    assert (seen, entered, h.hexdigest()) == (count, nodes, digest)
+
+
 def test_leaf_rule_needs_connected_mode_and_three_vertices():
     # 2K2 joins leaves, which only a disconnected walk may do
     assert list(orc._Walk((1, 1, 1, 1), False, bound=True)) == [((0, 1), (2, 3))]
@@ -541,6 +566,9 @@ def test_leaf_rule_cuts_the_hard_inputs():
         (3, 6), (4, 6), (5, 7), (5, 8), (6, 7), (6, 8), (7, 8), (7, 9),
         (8, 9), (9, 10), (10, 11), (10, 12), (11, 13), (11, 14),
     )
+    # 111,092 nodes without the leaf rule
+    res = search_max_m2(DegreeSequence.parse("4,3^8,2,1^4"), cap=14)
+    assert (res.max_m2, res.nodes) == (137, 8347)
 
 
 def test_search_matches_brute_force_maxima_up_to_n6():
