@@ -37,16 +37,12 @@ EXIT_CAP = 3
 EXIT_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a tool SIGPIPE ends
 
 
-# json.dumps builds an encoder per call for any non-default option
-_COMPACT = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
-
-
 def _emit(report: dict, pretty: bool) -> None:
     # records and tuples go out as they are: json writes a tuple as an array
     if pretty:
         print(json.dumps(report, indent=2, sort_keys=True))
     else:
-        print(_COMPACT.encode(report))
+        print(json.dumps(report, sort_keys=True, separators=(",", ":")))
 
 
 def _digits(text: str) -> int:

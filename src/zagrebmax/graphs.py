@@ -22,8 +22,9 @@ class SimpleGraph:
     are allocated before any edge is read, so a vertex count whose counts
     cannot be allocated is refused with ``CapExceededError`` before an
     iterator of edges is started; the builders rely on this and pass their
-    edges lazily.  The edges are read once, and their first fault in input
-    order is the one raised.  Degrees are counted at construction; the
+    edges lazily.  The edges are read once, each checked as it is read, and
+    the first fault ends the read: it is the one raised, and a lazy source
+    is not read past it.  Degrees are counted at construction; the
     adjacency lists are built on first use (``_adjacency``), a cache
     behind the immutable value, so a graph that is only asked for degrees
     and edges never builds them."""
@@ -43,32 +44,24 @@ class SimpleGraph:
         # the edges in input order; builders emit them sorted or in a few
         # sorted runs, which timsort merges in about linear time
         normalised: list[tuple[int, int]] = []
-        append = normalised.append
-        fault = None
-        try:
-            for u, v in edges:
-                if type(u) is not int or type(v) is not int:
-                    u, v = _as_int(u, "vertex"), _as_int(v, "vertex")
-                if 1 <= u < v <= n:
-                    append((u, v))
-                elif 1 <= v < u <= n:
-                    append((v, u))
-                elif u == v and 1 <= u <= n:
-                    raise DomainError(f"loop at vertex {u}")
-                else:
-                    raise DomainError(f"edge ({u},{v}) out of range 1..{n}")
-                deg[u] += 1
-                deg[v] += 1
-        except (DomainError, TypeError, ValueError) as exc:
-            # raised below, unless a repeat among the edges before it comes first
-            fault = exc
-        if fault is not None or len(set(normalised)) < len(normalised):
-            seen: set[tuple[int, int]] = set()
-            for e in normalised:
-                if e in seen:
-                    raise DomainError(f"duplicate edge ({e[0]},{e[1]})")
-                seen.add(e)
-            raise fault
+        seen: set[tuple[int, int]] = set()
+        for u, v in edges:
+            if type(u) is not int or type(v) is not int:
+                u, v = _as_int(u, "vertex"), _as_int(v, "vertex")
+            if 1 <= u < v <= n:
+                e = (u, v)
+            elif 1 <= v < u <= n:
+                e = (v, u)
+            elif u == v and 1 <= u <= n:
+                raise DomainError(f"loop at vertex {u}")
+            else:
+                raise DomainError(f"edge ({u},{v}) out of range 1..{n}")
+            if e in seen:
+                raise DomainError(f"duplicate edge ({e[0]},{e[1]})")
+            seen.add(e)
+            normalised.append(e)
+            deg[u] += 1
+            deg[v] += 1
         normalised.sort()
         self.n = n
         self.edges: tuple[tuple[int, int], ...] = tuple(normalised)

@@ -648,6 +648,32 @@ class DegreeSequenceReference:
         return cls(tuple(degs))
 
 
+def first_edge_fault_scan(
+    n: int, edges: Iterable
+) -> tuple[tuple[tuple[int, int], ...], list[int]]:
+    """The sorted edges and the degree counts (entry 0 unused) of the items
+    ``edges`` on vertices 1..n, or the first fault in input order.  Each
+    item in turn must be a pair (unpacking raises TypeError or ValueError)
+    of integer labels, then in range and no loop, then no repeat of an
+    earlier edge; the scan stops at the first item that fails."""
+    seen: set[tuple[int, int]] = set()
+    deg = [0] * (n + 1)
+    for item in edges:
+        u, v = item
+        u, v = _as_int(u, "vertex"), _as_int(v, "vertex")
+        if not (1 <= u <= n and 1 <= v <= n):
+            raise DomainError(f"edge ({u},{v}) out of range 1..{n}")
+        if u == v:
+            raise DomainError(f"loop at vertex {u}")
+        e = (u, v) if u < v else (v, u)
+        if e in seen:
+            raise DomainError(f"duplicate edge ({e[0]},{e[1]})")
+        seen.add(e)
+        deg[u] += 1
+        deg[v] += 1
+    return tuple(sorted(seen)), deg
+
+
 class SimpleGraphReference:
     __slots__ = ("n", "edges", "_adj")
 
@@ -656,20 +682,8 @@ class SimpleGraphReference:
             n = _as_int(n, "vertex count")
         if n < 1:
             raise DomainError("graph needs at least one vertex")
-        seen: set[tuple[int, int]] = set()
-        for u, v in edges:
-            if type(u) is not int or type(v) is not int:
-                u, v = _as_int(u, "vertex"), _as_int(v, "vertex")
-            if not (1 <= u <= n and 1 <= v <= n):
-                raise DomainError(f"edge ({u},{v}) out of range 1..{n}")
-            if u == v:
-                raise DomainError(f"loop at vertex {u}")
-            e = (u, v) if u < v else (v, u)
-            if e in seen:
-                raise DomainError(f"duplicate edge ({e[0]},{e[1]})")
-            seen.add(e)
         self.n = n
-        self.edges: tuple[tuple[int, int], ...] = tuple(sorted(seen))
+        self.edges: tuple[tuple[int, int], ...] = first_edge_fault_scan(n, edges)[0]
         adj: list[list[int]] = [[] for _ in range(n + 1)]
         for u, v in self.edges:
             adj[u].append(v)

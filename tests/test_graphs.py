@@ -1,6 +1,7 @@
 """Tests for the graph type, the index, and graph I/O."""
 
 import hashlib
+import itertools
 import random
 import re
 
@@ -32,6 +33,7 @@ from helpers import (
     all_pairs,
     canonical_form_by_permutations,
     canonical_form_unpruned,
+    first_edge_fault_scan,
     outcome,
     relabel,
 )
@@ -158,6 +160,65 @@ def test_constructor_matches_element_by_element_reference(case):
         got = outcome(lambda: _graph_fields(SimpleGraph(n, feed(edges))))
         want = outcome(lambda: _graph_fields(SimpleGraphReference(n, feed(edges))))
         assert got == want
+
+
+@pytest.mark.parametrize(
+    "fault,message",
+    [
+        ((2, 1), "duplicate edge (1,2)"),
+        ((3, 3), "loop at vertex 3"),
+        ((1, 1002), "edge (1,1002) out of range 1..1001"),
+        ((1, 2.0), "vertex 2.0 is not an integer"),
+        ((1, 2, 3), "too many values to unpack (expected 2)"),
+    ],
+    ids=["repeat", "loop", "range", "float", "triple"],
+)
+def test_lazy_source_is_read_only_up_to_its_first_fault(fault, message):
+    # a source of 1,000 items whose second is the fault: the read ends there
+    read = 0
+
+    def edges():
+        nonlocal read
+        for item in [(1, 2), fault, *((v, v + 1) for v in range(3, 1001))]:
+            read += 1
+            yield item
+
+    with pytest.raises((DomainError, ValueError)) as info:
+        SimpleGraph(1001, edges())
+    assert str(info.value) == message
+    assert read == 2
+
+
+def test_source_that_fails_after_a_repeat_reports_the_repeat():
+    def edges():
+        yield (1, 2)
+        yield (1, 2)
+        raise RuntimeError("source read past its repeat")
+
+    with pytest.raises(DomainError, match=r"^duplicate edge \(1,2\)$"):
+        SimpleGraph(3, edges())
+
+
+def _edges_and_degrees(n, edges):
+    g = SimpleGraph(n, edges)
+    return g.edges, g.degrees()
+
+
+def test_constructor_matches_first_fault_scan_on_every_short_list():
+    # every list of at most 4 items from 13, 30,941 in all: pairs in and out
+    # of range, a repeat either way round, a loop, odd labels and non-pairs
+    alphabet = [
+        (1, 2), (2, 1), (2, 3), (1, 3), (1, 1), (0, 2), (3, 4),
+        (1, 2.0), ("a", 2), (1, 2, 3), 5, None, (True, 2),
+    ]
+    cases = 0
+    for size in range(5):
+        for edges in itertools.product(alphabet, repeat=size):
+            got = outcome(lambda: _edges_and_degrees(3, edges))
+            want = outcome(lambda: first_edge_fault_scan(3, edges))
+            assert got == want, edges
+            cases += 1
+    assert cases == 30_941
 
 
 @pytest.mark.parametrize(
